@@ -1,5 +1,5 @@
 //! The `pp_fastpath` bench: packets/sec of the full Split → NF → Merge
-//! round trip, scalar pipeline vs the sharded, batched engine at
+//! round trip, scalar pipeline vs the sharded run-to-completion engine at
 //! 1/2/4/8 workers over an 8-server §6.2.4 slicing
 //! ([`pp_fastpath::SlicedTestbed`], the same rig the equivalence oracle
 //! and `pp-exp throughput` use).
@@ -7,10 +7,10 @@
 //! Engines are built once per target, so the worker threads are warm and
 //! iterations measure the steady state. Both sides clone the input wave
 //! per iteration (the engine consumes its inputs), keeping the comparison
-//! apples-to-apples. Speedup over scalar scales with the host's core
-//! count: each worker runs a full dataplane, so N cores can retire ~N
-//! shards' worth of batches concurrently, while a single-core host merely
-//! time-slices them. `PP_BENCH_FAST=1` shrinks the measurement to a smoke
+//! apples-to-apples. Each worker runs the scalar loop on its shard's share
+//! of the wave into a recycled arena, so speedup over scalar is bounded by
+//! the host's spare cores: N cores retire ~N shards concurrently, a
+//! single-core host merely time-slices them. `PP_BENCH_FAST=1` shrinks the measurement to a smoke
 //! pass, as for the other targets.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

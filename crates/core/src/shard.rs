@@ -14,13 +14,15 @@
 //! equivalence oracle verifies.
 
 use crate::config::{ParkConfig, PipePark};
-use std::collections::BTreeMap;
+use pp_rmt::chip::PortMap;
 
 /// A partition of one deployment into per-worker sub-deployments.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     configs: Vec<ParkConfig>,
-    port_to_shard: BTreeMap<u16, usize>,
+    /// Flat port-indexed table: the engine's dispatcher consults it once
+    /// per packet in the one part of a wave no worker can overlap.
+    port_to_shard: PortMap<usize>,
 }
 
 impl ShardPlan {
@@ -54,7 +56,7 @@ impl ShardPlan {
             return Err("recirculation deployments cannot be sharded".into());
         }
 
-        let mut port_to_shard = BTreeMap::new();
+        let mut port_to_shard = PortMap::new();
         let mut configs = Vec::with_capacity(workers);
         for w in 0..workers {
             let slices: Vec<_> = pipe_cfg
@@ -100,7 +102,7 @@ impl ShardPlan {
 
     /// The worker that owns `port` (split or merge), if any.
     pub fn shard_of_port(&self, port: u16) -> Option<usize> {
-        self.port_to_shard.get(&port).copied()
+        self.port_to_shard.get(port).copied()
     }
 
     /// Total lookup-table slots across all shards — equals the original

@@ -1,26 +1,43 @@
-//! The sharded, batched multi-worker engine.
+//! The sharded multi-worker engine: run-to-completion shards.
 //!
 //! An [`Engine`] partitions a PayloadPark deployment with
 //! [`payloadpark::ShardPlan`] (the paper's §6.2.4 port→slice mapping) and
 //! owns one long-lived worker thread per shard. Each worker owns its
 //! shard's [`SwitchModel`] outright — register file included — and is fed
-//! over a pair of lock-free SPSC rings ([`crate::spsc`]): packet batches
-//! and control messages in, result arenas and snapshots out. Workers run
-//! batches through the batched dataplane
-//! ([`SwitchModel::process_batch`]), so MAT dispatch is amortized and
-//! every batch deparses into one arena; the threads persist across waves,
-//! so the steady state costs no spawns and no locks.
+//! over a pair of lock-free SPSC rings ([`crate::spsc`]): packets and
+//! control messages in, result arenas and snapshots out. The threads
+//! persist across waves, so the steady state costs no spawns and no
+//! locks on the packet path.
+//!
+//! **The round trip** ([`Engine::process_roundtrip`]) runs every shard to
+//! completion. The dispatcher partitions the wave once, hands each shard
+//! its whole queue in one ring message together with the output arena to
+//! fill, and sleeps. The worker runs the fused per-packet loop of the
+//! scalar reference ([`crate::SlicedTestbed::scalar_roundtrip_into`]):
+//! Split, readdress the header packet into one reused bounce frame, Merge
+//! — straight into the arena, no intermediate wave and no allocation. It
+//! replies with the arena, wakes the dispatcher, and only then frees its
+//! inputs. The dispatcher knows the wave is over when it has counted one
+//! reply per message sent. Arenas return to an engine-owned pool when the
+//! [`EngineOutput`] holding them drops, so a warm wave allocates
+//! O(workers); the pool keeps at most two arenas per shard and lets the
+//! rest go.
+//!
+//! **Two-phase waves** ([`Engine::process`]) and the adverse round trip
+//! ([`Engine::process_roundtrip_adverse`]) keep batch semantics: a
+//! shard's queue is cut into `batch`-packet messages, each run through
+//! the batched dataplane ([`SwitchModel::process_batch`]) into an arena
+//! of its own, `ring_depth` of them in flight per shard.
 //!
 //! Determinism is preserved: a shard processes its packets in arrival
-//! order, a slice's register cells are only ever touched by its own
-//! shard, and batch execution performs register accesses in the same
-//! per-array order as scalar execution. For any traffic mix the engine's
-//! aggregate counters and merged egress bytes are therefore identical to
-//! the single-threaded pipeline — the oracle in
-//! `tests/functional_equivalence.rs` and this module's tests enforce it
-//! byte for byte.
+//! order and a slice's register cells are only ever touched by its own
+//! shard. The round trip is therefore step for step the scalar round trip
+//! restricted to the shard's slices, for any slot count; batch execution
+//! performs register accesses in the same per-array order as scalar
+//! execution, so a two-phase drive matches the two-phase scalar
+//! reference. The oracle in `tests/functional_equivalence.rs` and this
+//! module's tests enforce both byte for byte.
 
-use crate::adapter::reflect_outputs;
 use crate::adversity::adverse_return_wave;
 use crate::spsc::{self, Consumer, Producer};
 use payloadpark::program::build_switch;
@@ -38,45 +55,63 @@ use std::thread::{JoinHandle, Thread};
 pub struct EngineConfig {
     /// Worker threads; the deployment needs at least this many slices.
     pub workers: usize,
-    /// Packets per batch message (the unit of amortization).
+    /// Packets per message of [`Engine::process`] and
+    /// [`Engine::process_roundtrip_adverse`]: the unit of batched
+    /// execution, and the span reordering is clamped to on the adverse
+    /// path. The plain round trip ignores it — a shard's queue travels
+    /// whole.
     pub batch: usize,
-    /// Messages each SPSC ring can hold in flight.
+    /// Messages each SPSC ring can hold in flight: how far the dispatcher
+    /// may run ahead of a worker on the batched paths. The plain round
+    /// trip puts one message per shard and wave on a ring.
     pub ring_depth: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // 128-packet batches keep a batch's PHVs and payloads inside L2
-        // while still amortizing dispatch; measured optimal on the
-        // enterprise mix (64-128, falling off past 512).
         EngineConfig { workers: 4, batch: 128, ring_depth: 16 }
     }
 }
 
+/// Round-trip arenas the pool retains per shard. One is what a caller
+/// that drops a wave's output before the next wave reuses; the second
+/// covers a caller that still holds the previous output while the next
+/// wave runs. Anything beyond that is dropped, so held or abandoned
+/// outputs cannot grow the engine's footprint.
+const POOLED_ARENAS_PER_SHARD: usize = 2;
+
+/// Recycled round-trip arenas, shared between the engine (which takes
+/// one per shard and wave) and its outputs (which hand them back on
+/// drop). Locked twice per wave, never per packet.
+type ArenaPool = Arc<Mutex<Vec<BatchOutput>>>;
+
 /// What the dispatcher sends a worker. The ring is FIFO and the worker
-/// single-threaded, so control messages are ordered with the batches
-/// around them.
+/// single-threaded, so control messages are ordered with the packet
+/// messages around them. Every packet message is answered by exactly one
+/// [`WorkerReply::Out`]; the dispatcher ends a wave by counting them.
 enum WorkerMsg {
     /// Process one batch, reply with its outputs.
     Batch(Vec<BatchPacket>),
-    /// Process a batch, bounce every output off this shard's MAC-swap NF
-    /// server (readdressing it to `sink`), process the returns, reply with
-    /// the merge-side outputs. Keeps the whole Split → NF → Merge round
-    /// trip on the worker, as each slice's NF server is its own machine.
-    /// With `adversity` set, the worker's own injector mangles the two
-    /// internal legs (switch → NF and NF → switch) — every per-packet
-    /// fault is keyed on the sequence number, so per-shard injection
-    /// drops/duplicates/mutates exactly the packets a global injector
-    /// would. Reordering is the one batch-scoped effect: displacement
-    /// cannot carry a packet past the end of its batch, since each
-    /// Roundtrip merges its own returns before the next batch splits.
-    Roundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, adversity: Option<Arc<AdversityProfile>> },
+    /// Run every packet to completion, one at a time: Split, bounce the
+    /// output off this shard's MAC-swap NF server (readdressing it to
+    /// `sink`), Merge the return — all into `arena`; reply with it. Keeps
+    /// the whole Split → NF → Merge round trip on the worker, as each
+    /// slice's NF server is its own machine.
+    Roundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, arena: BatchOutput },
+    /// The round trip of one batch in two phases, with the worker's own
+    /// injector mangling the two internal legs (switch → NF and
+    /// NF → switch) in between; reply with the merge-side outputs. Every
+    /// per-packet fault is keyed on the sequence number, so per-shard
+    /// injection drops/duplicates/mutates exactly the packets a global
+    /// injector would. Reordering is the one batch-scoped effect:
+    /// displacement cannot carry a packet past the end of its batch,
+    /// since each message merges its own returns before the next one
+    /// splits.
+    AdverseRoundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, adversity: Arc<AdversityProfile> },
     /// Add an L2 forwarding entry (fire and forget).
     L2Add(MacAddr, PortId),
     /// Reply with a control-plane snapshot.
     Query,
-    /// Reply `Flushed` — everything before this message has been processed.
-    Flush,
     /// Exit the worker loop.
     Shutdown,
 }
@@ -85,7 +120,6 @@ enum WorkerMsg {
 enum WorkerReply {
     Out(BatchOutput),
     State { counters: CounterSnapshot, stats: SwitchStats, occupancy: usize, tally: FaultTally },
-    Flushed,
 }
 
 struct WorkerHandle {
@@ -108,8 +142,14 @@ impl WorkerHandle {
         }
     }
 
+    /// True once the worker thread has exited (a panicked worker must not
+    /// hang the dispatcher).
+    fn is_dead(&self) -> bool {
+        self.join.as_ref().is_none_or(|j| j.is_finished())
+    }
+
     /// Pushes a message, parking while the ring is full but giving up if
-    /// the worker died (a panicked worker must not hang the dispatcher).
+    /// the worker died.
     fn send(&mut self, mut msg: WorkerMsg) -> bool {
         loop {
             match self.tx.try_push(msg) {
@@ -118,7 +158,7 @@ impl WorkerHandle {
                     return true;
                 }
                 Err(back) => {
-                    if self.join.as_ref().is_none_or(|j| j.is_finished()) {
+                    if self.is_dead() {
                         return false;
                     }
                     msg = back;
@@ -134,35 +174,29 @@ impl WorkerHandle {
             if let Some(reply) = self.rx.try_pop() {
                 return Some(reply);
             }
-            if self.join.as_ref().is_none_or(|j| j.is_finished()) {
+            if self.is_dead() {
                 return self.rx.try_pop();
             }
             std::thread::park_timeout(IDLE_PARK);
         }
+    }
+
+    /// Moves every output arena waiting on the reply ring into `into`;
+    /// returns how many there were.
+    fn drain_outputs(&mut self, into: &mut Vec<BatchOutput>) -> usize {
+        let before = into.len();
+        while let Some(reply) = self.rx.try_pop() {
+            if let WorkerReply::Out(out) = reply {
+                into.push(out);
+            }
+        }
+        into.len() - before
     }
 }
 
 /// How long an idle thread sleeps before re-checking its rings — a
 /// safety net against lost wakeups; real wakeups come from `unpark`.
 const IDLE_PARK: std::time::Duration = std::time::Duration::from_millis(1);
-
-/// Waits for `poll` to produce a value: a short yield-spin first (on a
-/// busy sibling this hands the core over directly, no futex round trip),
-/// then timed parks until the peer's `unpark` or the backstop fires.
-fn idle_wait<T>(mut poll: impl FnMut() -> Option<T>) -> T {
-    for _ in 0..128 {
-        if let Some(v) = poll() {
-            return v;
-        }
-        std::thread::yield_now();
-    }
-    loop {
-        if let Some(v) = poll() {
-            return v;
-        }
-        std::thread::park_timeout(IDLE_PARK);
-    }
-}
 
 /// The worker thread body: own the shard's switch, drain the ring. The
 /// worker parks while idle and is unparked by the dispatcher when work
@@ -181,40 +215,54 @@ fn worker_main(
         dispatcher.lock().expect("dispatcher slot poisoned").unpark();
     };
     let mut tally = FaultTally::default();
-    // Split-side scratch, reused across round trips: only the merge-side
-    // arena crosses the ring, so this one's capacity stays with the worker.
+    // Split-side scratch and the NF's bounce frame, reused across round
+    // trips: only the merge-side arena crosses the ring, so their capacity
+    // stays with the worker.
     let mut split_side = BatchOutput::new();
+    let mut bounce: Vec<u8> = Vec::new();
     loop {
-        let msg = idle_wait(|| rx.try_pop());
+        let Some(msg) = rx.try_pop() else {
+            std::thread::park_timeout(IDLE_PARK);
+            continue;
+        };
         match msg {
             WorkerMsg::Batch(pkts) => {
                 let mut out = BatchOutput::new();
                 switch.process_batch(&pkts, &mut out);
                 reply(&mut tx, WorkerReply::Out(out));
             }
-            WorkerMsg::Roundtrip { pkts, sink, adversity } => {
-                switch.process_batch(&pkts, &mut split_side);
-                let back = match &adversity {
-                    None => reflect_outputs(split_side.iter(), sink),
-                    Some(adv) => {
-                        // This shard's own injector: mangle the two
-                        // internal legs around the MAC-swap NF. The wave
-                        // is built straight off the arena views (one copy,
-                        // unavoidable: the injector mutates bytes).
-                        let outs = split_side
-                            .iter()
-                            .map(|o| BatchPacket {
-                                bytes: o.bytes.to_vec(),
-                                port: o.port,
-                                seq: o.seq,
-                            })
-                            .collect();
-                        adverse_return_wave(adv, outs, sink, &mut tally)
+            WorkerMsg::Roundtrip { pkts, sink, mut arena } => {
+                arena.clear();
+                for pkt in &pkts {
+                    split_side.clear();
+                    switch.process_into(&pkt.bytes, pkt.port, pkt.seq, &mut split_side);
+                    for out in split_side.iter() {
+                        bounce.clear();
+                        bounce.extend_from_slice(out.bytes);
+                        bounce[0..6].copy_from_slice(&sink.0);
+                        switch.process_into(&bounce, out.port, out.seq, &mut arena);
                     }
-                };
-                let mut merge_side = BatchOutput::new();
-                switch.process_batch(&back, &mut merge_side);
-                reply(&mut tx, WorkerReply::Out(merge_side));
+                }
+                // Reply first: freeing a whole queue of foreign-thread
+                // buffers must not sit between the last packet and the
+                // dispatcher's wakeup.
+                reply(&mut tx, WorkerReply::Out(arena));
+                drop(pkts);
+            }
+            WorkerMsg::AdverseRoundtrip { pkts, sink, adversity } => {
+                switch.process_batch(&pkts, &mut split_side);
+                // This shard's own injector: mangle the two internal legs
+                // around the MAC-swap NF. The wave is built straight off
+                // the arena views (one copy, unavoidable: the injector
+                // mutates bytes).
+                let outs = split_side
+                    .iter()
+                    .map(|o| BatchPacket { bytes: o.bytes.to_vec(), port: o.port, seq: o.seq })
+                    .collect();
+                let back = adverse_return_wave(&adversity, outs, sink, &mut tally);
+                let mut out = BatchOutput::new();
+                switch.process_batch(&back, &mut out);
+                reply(&mut tx, WorkerReply::Out(out));
             }
             WorkerMsg::L2Add(mac, port) => switch.l2_add(mac, port),
             WorkerMsg::Query => {
@@ -226,7 +274,6 @@ fn worker_main(
                 };
                 reply(&mut tx, state);
             }
-            WorkerMsg::Flush => reply(&mut tx, WorkerReply::Flushed),
             WorkerMsg::Shutdown => return,
         }
     }
@@ -238,6 +285,7 @@ pub struct Engine {
     cfg: EngineConfig,
     workers: Vec<WorkerHandle>,
     dispatcher: DispatcherSlot,
+    pool: ArenaPool,
 }
 
 impl Engine {
@@ -275,7 +323,7 @@ impl Engine {
                 .expect("spawn fastpath worker");
             workers.push(WorkerHandle { tx, rx, join: Some(join) });
         }
-        Ok(Engine { plan, cfg, workers, dispatcher })
+        Ok(Engine { plan, cfg, workers, dispatcher, pool: ArenaPool::default() })
     }
 
     /// The shard plan in use.
@@ -307,24 +355,29 @@ impl Engine {
     }
 
     /// Runs one wave through the full Split → NF → Merge round trip: each
-    /// worker bounces its split-side outputs off its slice's MAC-swap NF
-    /// server (readdressed to `sink`) and merges the returns, so the
-    /// entire per-packet path executes shard-locally. Returns the
-    /// merge-side (sink-bound) outputs.
+    /// worker takes its shard's share of the wave whole and runs it to
+    /// completion, packet by packet — Split, bounce off the slice's
+    /// MAC-swap NF server (readdressed to `sink`), Merge — so the entire
+    /// per-packet path executes shard-locally and in exactly the scalar
+    /// round trip's order, whatever the table size. Returns the merge-side
+    /// (sink-bound) outputs, one recycled arena per shard; dropping the
+    /// output hands the arenas back for the next wave.
     pub fn process_roundtrip(&mut self, inputs: Vec<BatchPacket>, sink: MacAddr) -> EngineOutput {
         self.run(inputs, Some(sink), None)
     }
 
     /// [`Engine::process_roundtrip`] under an adversity scenario: each
     /// worker's own injector mangles the switch → NF and NF → switch legs
-    /// of its shard. Decisions are keyed on `(seed, leg, seq)`, so the
-    /// scenario is replayable from the profile's seed, and which packets
-    /// are lost, duplicated, truncated or corrupted is independent of the
-    /// worker count or batch size. Reorder displacement is additionally
-    /// clamped to the batch span (the fused round trip merges each batch
-    /// before the next one splits) — drive the engine in two phases with
-    /// [`adverse_return_wave`] applied globally, as the equivalence suite
-    /// does, when cross-batch reordering must match the scalar reference.
+    /// of its shard, one `batch`-packet message at a time (all Splits of
+    /// the batch, the two adverse legs, all Merges). Decisions are keyed
+    /// on `(seed, leg, seq)`, so the scenario is replayable from the
+    /// profile's seed, and which packets are lost, duplicated, truncated
+    /// or corrupted is independent of the worker count or batch size.
+    /// Reorder displacement is additionally clamped to the batch span
+    /// (each batch merges before the next one splits) — drive the engine
+    /// in two phases with [`adverse_return_wave`] applied globally, as the
+    /// equivalence suite does, when cross-batch reordering must match the
+    /// scalar reference. A disabled profile is the plain round trip.
     /// [`Engine::fault_tally`] reports what was injected.
     pub fn process_roundtrip_adverse(
         &mut self,
@@ -343,87 +396,94 @@ impl Engine {
         adversity: Option<Arc<AdversityProfile>>,
     ) -> EngineOutput {
         self.capture_dispatcher();
-        let n = self.workers.len();
 
-        // Shard the inputs by the port→slice mapping, then cut each
-        // shard's queue into batch messages.
-        let mut queues: Vec<Vec<BatchPacket>> = (0..n).map(|_| Vec::new()).collect();
-        for pkt in inputs {
-            let w = self.plan.shard_of_port(pkt.port.0).unwrap_or(0);
-            queues[w].push(pkt);
-        }
-        let mut chunks: Vec<VecDeque<Vec<BatchPacket>>> =
-            queues.into_iter().map(|q| chunked(q, self.cfg.batch)).collect();
+        // The plain round trip runs to completion: a shard's queue travels
+        // whole, with a recycled arena to fill. The batched paths cut it
+        // into `batch`-packet messages, each answered in an arena of its
+        // own.
+        let fused = sink.is_some() && adversity.is_none();
+        let size = if fused { usize::MAX } else { self.cfg.batch };
+        let queues = partition(&self.plan, inputs, size);
+
+        // Arenas go out in the order they came back (an output returns
+        // them shard by shard), so in the steady state a worker refills
+        // the arena it filled last wave — still in its own cache — not its
+        // neighbour's.
+        let busy = queues.iter().filter(|queue| !queue.is_empty()).count();
+        let mut spare = if fused { self.take_arenas(busy) } else { Vec::new() }.into_iter();
+        let mut pending: Vec<VecDeque<WorkerMsg>> = queues
+            .into_iter()
+            .map(|queue| {
+                queue
+                    .into_iter()
+                    .map(|pkts| match (sink, &adversity) {
+                        (None, _) => WorkerMsg::Batch(pkts),
+                        (Some(sink), None) => {
+                            let arena = spare.next().unwrap_or_default();
+                            WorkerMsg::Roundtrip { pkts, sink, arena }
+                        }
+                        (Some(sink), Some(adversity)) => {
+                            let adversity = Arc::clone(adversity);
+                            WorkerMsg::AdverseRoundtrip { pkts, sink, adversity }
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
 
         // Dispatch and collect, interleaved so a full ring on either side
         // can always drain: work is offered with try_push and replies are
-        // drained every round. A final Flush per worker marks the wave's
-        // end.
-        let mut results: Vec<Vec<BatchOutput>> = (0..n).map(|_| Vec::new()).collect();
-        let mut flush_sent = vec![false; n];
-        let mut flushed = vec![false; n];
-        let mut idle_rounds = 0u32;
-        while !flushed.iter().all(|&f| f) {
+        // drained every round. Each message is owed exactly one reply;
+        // the wave is over when none is owed.
+        let mut owed: Vec<usize> = pending.iter().map(VecDeque::len).collect();
+        let mut results: Vec<Vec<BatchOutput>> =
+            owed.iter().map(|&replies| Vec::with_capacity(replies)).collect();
+        while owed.iter().any(|&replies| replies > 0) {
             let mut progress = false;
-            for w in 0..n {
-                if !flush_sent[w] {
-                    if let Some(chunk) = chunks[w].pop_front() {
-                        let msg = match sink {
-                            Some(sink) => WorkerMsg::Roundtrip {
-                                pkts: chunk,
-                                sink,
-                                adversity: adversity.clone(),
-                            },
-                            None => WorkerMsg::Batch(chunk),
-                        };
-                        match self.workers[w].tx.try_push(msg) {
-                            Ok(()) => {
-                                self.workers[w].wake();
-                                progress = true;
-                            }
-                            Err(WorkerMsg::Batch(c))
-                            | Err(WorkerMsg::Roundtrip { pkts: c, .. }) => {
-                                chunks[w].push_front(c);
-                            }
-                            Err(_) => unreachable!("pushed a batch message"),
+            for (w, handle) in self.workers.iter_mut().enumerate() {
+                if let Some(msg) = pending[w].pop_front() {
+                    match handle.tx.try_push(msg) {
+                        Ok(()) => {
+                            handle.wake();
+                            progress = true;
                         }
-                    } else if self.workers[w].tx.try_push(WorkerMsg::Flush).is_ok() {
-                        self.workers[w].wake();
-                        flush_sent[w] = true;
-                        progress = true;
+                        Err(back) => pending[w].push_front(back),
                     }
                 }
-                while let Some(reply) = self.workers[w].rx.try_pop() {
-                    progress = true;
-                    match reply {
-                        WorkerReply::Out(out) => results[w].push(out),
-                        WorkerReply::Flushed => flushed[w] = true,
-                        WorkerReply::State { .. } => {}
-                    }
-                }
+                let replies = handle.drain_outputs(&mut results[w]);
+                owed[w] -= replies;
+                progress |= replies > 0;
             }
-            if progress {
-                idle_rounds = 0;
-            } else {
-                // A panicked worker can never flush; surface what we have
-                // instead of spinning forever (tests then see the damage).
-                for (w, handle) in self.workers.iter().enumerate() {
-                    if !flushed[w] && handle.join.as_ref().is_none_or(|j| j.is_finished()) {
-                        flushed[w] = true;
+            if !progress {
+                // A panicked worker can never reply; surface what it
+                // managed to send instead of waiting forever (tests then
+                // see the damage).
+                for (w, handle) in self.workers.iter_mut().enumerate() {
+                    if owed[w] > 0 && handle.is_dead() {
+                        handle.drain_outputs(&mut results[w]);
+                        owed[w] = 0;
                     }
                 }
-                // Same hybrid as the workers: yield first (direct hand-over
-                // on a saturated core), park once the wave has gone quiet.
-                idle_rounds += 1;
-                if idle_rounds < 128 {
-                    std::thread::yield_now();
-                } else {
-                    std::thread::park_timeout(IDLE_PARK);
-                }
+                // Sleep until a worker's reply unparks this thread: the
+                // workers need the cores more than a polling dispatcher.
+                std::thread::park_timeout(IDLE_PARK);
             }
         }
 
-        EngineOutput { per_worker: results }
+        EngineOutput { per_worker: results, pool: fused.then(|| Arc::clone(&self.pool)) }
+    }
+
+    /// Up to `n` recycled arenas for the wave about to run.
+    fn take_arenas(&self, n: usize) -> Vec<BatchOutput> {
+        let mut pool = self.pool.lock().expect("arena pool poisoned");
+        let keep = pool.len().saturating_sub(n);
+        pool.split_off(keep)
+    }
+
+    /// Arenas waiting in the pool.
+    #[cfg(test)]
+    fn pooled_arenas(&self) -> usize {
+        self.pool.lock().expect("arena pool poisoned").len()
     }
 
     /// Control-plane snapshots from every worker, in worker order.
@@ -533,27 +593,55 @@ impl Drop for Engine {
     }
 }
 
-/// Cuts a queue into `size`-packet messages, preserving order.
-fn chunked(mut q: Vec<BatchPacket>, size: usize) -> VecDeque<Vec<BatchPacket>> {
-    let mut out = VecDeque::new();
-    loop {
-        if q.len() <= size {
-            if !q.is_empty() {
-                out.push_back(q);
+/// Shards `inputs` by the port→slice mapping (ports outside the plan go
+/// to shard 0), straight into message-sized chunks: per shard, arrival
+/// order kept and every chunk but the last exactly `size` packets. This
+/// loop is the one part of a wave no worker can overlap.
+fn partition(
+    plan: &ShardPlan,
+    inputs: Vec<BatchPacket>,
+    size: usize,
+) -> Vec<Vec<Vec<BatchPacket>>> {
+    let share = inputs.len().div_ceil(plan.workers());
+    let mut queues: Vec<Vec<Vec<BatchPacket>>> = vec![Vec::new(); plan.workers()];
+    for pkt in inputs {
+        let queue = &mut queues[plan.shard_of_port(pkt.port.0).unwrap_or(0)];
+        match queue.last_mut() {
+            Some(chunk) if chunk.len() < size => chunk.push(pkt),
+            _ => {
+                let mut chunk = Vec::with_capacity(size.min(share));
+                chunk.push(pkt);
+                queue.push(chunk);
             }
-            return out;
         }
-        let rest = q.split_off(size);
-        out.push_back(q);
-        q = rest;
     }
+    queues
 }
 
-/// The egress side of one [`Engine::process`] wave: each worker's batch
-/// arenas, kept as produced (no merge copies on the hot path).
+/// The egress side of one wave: each worker's arenas, kept as produced
+/// (no merge copies on the hot path). A round-trip output holds one
+/// recycled arena per shard and returns it to the engine's pool on drop —
+/// storage is only ever reused once nothing can read it any more.
 #[derive(Debug, Default)]
 pub struct EngineOutput {
     per_worker: Vec<Vec<BatchOutput>>,
+    /// Where the arenas go on drop; `None` for batched outputs, whose
+    /// many small arenas no wave would reuse.
+    pool: Option<ArenaPool>,
+}
+
+impl Drop for EngineOutput {
+    fn drop(&mut self) {
+        let Some(pool) = self.pool.take() else { return };
+        // A poisoned pool just lets the arenas go.
+        let Ok(mut pool) = pool.lock() else { return };
+        let bound = POOLED_ARENAS_PER_SHARD * self.per_worker.len();
+        for arena in self.per_worker.drain(..).flatten() {
+            if pool.len() < bound {
+                pool.push(arena);
+            }
+        }
+    }
 }
 
 impl EngineOutput {
@@ -608,32 +696,37 @@ impl EngineOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::reflect_outputs;
     use crate::testbed::SlicedTestbed;
     use pp_packet::builder::UdpPacketBuilder;
 
     const TB: SlicedTestbed = SlicedTestbed { slices: 4, slots: 512 };
 
     /// Round-trips `inputs` (split, MAC-swap at the server, merge) through
-    /// the scalar switch, returning sink-side outputs and counters.
-    fn scalar_roundtrip(inputs: &[BatchPacket]) -> (Vec<SwitchOutput>, CounterSnapshot) {
-        let (mut sw, control) = TB.build_scalar();
-        let merged = TB.scalar_roundtrip(&mut sw, inputs);
+    /// `tb`'s scalar switch, returning sink-side outputs and counters.
+    fn scalar_roundtrip(
+        tb: SlicedTestbed,
+        inputs: &[BatchPacket],
+    ) -> (Vec<SwitchOutput>, CounterSnapshot) {
+        let (mut sw, control) = tb.build_scalar();
+        let merged = tb.scalar_roundtrip(&mut sw, inputs);
         let counters = control.counters(&sw);
         (merged, counters)
     }
 
     fn engine_roundtrip(
+        tb: SlicedTestbed,
         inputs: Vec<BatchPacket>,
         workers: usize,
         fused: bool,
     ) -> (Vec<SwitchOutput>, CounterSnapshot) {
         let mut engine =
-            TB.build_engine(EngineConfig { workers, batch: 16, ring_depth: 4 }).unwrap();
+            tb.build_engine(EngineConfig { workers, batch: 16, ring_depth: 4 }).unwrap();
         let merged = if fused {
-            engine.process_roundtrip(inputs, TB.sink_mac())
+            engine.process_roundtrip(inputs, tb.sink_mac())
         } else {
             let to_server = engine.process(inputs);
-            let back = reflect_outputs(to_server.iter(), TB.sink_mac());
+            let back = reflect_outputs(to_server.iter(), tb.sink_mac());
             engine.process(back)
         };
         (merged.to_seq_sorted(), engine.counters())
@@ -645,16 +738,71 @@ mod tests {
         // interleaved scalar reference and both engine drive modes must
         // agree exactly.
         let inputs = TB.counted_enterprise_wave(42, 300);
-        let (scalar_out, scalar_counters) = scalar_roundtrip(&inputs);
+        let (scalar_out, scalar_counters) = scalar_roundtrip(TB, &inputs);
         for workers in [1, 2, 4] {
             for fused in [false, true] {
                 let (engine_out, engine_counters) =
-                    engine_roundtrip(inputs.clone(), workers, fused);
+                    engine_roundtrip(TB, inputs.clone(), workers, fused);
                 assert_eq!(engine_out, scalar_out, "{workers} workers, fused={fused}");
                 assert_eq!(engine_counters, scalar_counters, "{workers} workers, fused={fused}");
             }
         }
         assert!(scalar_counters.splits > 0, "workload must exercise parking");
+    }
+
+    #[test]
+    fn roundtrip_matches_scalar_when_slices_are_smaller_than_a_batch() {
+        // 75 packets per slice through 8 slots, and a 16-packet batch's
+        // share of one slice exceeds the slice: a round trip that split a
+        // whole batch before merging it would wrap onto live entries and
+        // evict. Run to completion, every packet merges before the next
+        // one splits, exactly as in the scalar loop.
+        let tb = SlicedTestbed { slices: 4, slots: 8 };
+        let inputs = tb.counted_enterprise_wave(42, 300);
+        let (scalar_out, scalar_counters) = scalar_roundtrip(tb, &inputs);
+        assert!(scalar_counters.splits > 32, "every table must wrap: {scalar_counters:?}");
+        assert_eq!(scalar_counters.evictions, 0, "the scalar loop never overwrites");
+        assert_eq!(scalar_out.len(), 300);
+        for workers in [1, 2, 4] {
+            let (engine_out, engine_counters) = engine_roundtrip(tb, inputs.clone(), workers, true);
+            assert_eq!(engine_out, scalar_out, "{workers} workers");
+            assert_eq!(engine_counters, scalar_counters, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn recycled_arenas_are_never_reachable_from_a_live_output() {
+        let mut engine =
+            TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
+        let bound = POOLED_ARENAS_PER_SHARD * 2;
+        let wave_a = TB.counted_enterprise_wave(11, 300);
+        let (expected_a, _) = scalar_roundtrip(TB, &wave_a);
+
+        // Hold wave A's output while two more waves run.
+        let a = engine.process_roundtrip(wave_a, TB.sink_mac());
+        let b = engine.process_roundtrip(TB.counted_enterprise_wave(12, 300), TB.sink_mac());
+        let c = engine.process_roundtrip(TB.counted_enterprise_wave(13, 300), TB.sink_mac());
+        assert_eq!(engine.pooled_arenas(), 0, "all three outputs are live");
+        assert_eq!(a.iter().count(), 300);
+        assert_eq!(a.to_seq_sorted(), expected_a, "later waves must not touch a held output");
+
+        // Dropping outputs fills the pool up to its bound and no further.
+        drop(c);
+        assert_eq!(engine.pooled_arenas(), 2);
+        drop(a);
+        drop(b);
+        assert_eq!(engine.pooled_arenas(), bound, "the third pair of arenas is let go");
+
+        // The next wave takes its arenas from the pool and hands them back.
+        let d = engine.process_roundtrip(TB.counted_enterprise_wave(14, 300), TB.sink_mac());
+        assert_eq!(engine.pooled_arenas(), bound - 2, "one arena per shard reused");
+        assert_eq!(d.packets(), 300);
+        drop(d);
+        assert_eq!(engine.pooled_arenas(), bound);
+
+        // Batched outputs are not pooled: their arenas are small and many.
+        drop(engine.process(TB.counted_enterprise_wave(15, 300)));
+        assert_eq!(engine.pooled_arenas(), bound);
     }
 
     #[test]
@@ -787,19 +935,64 @@ mod tests {
     }
 
     #[test]
+    fn partition_preserves_order_and_sizes() {
+        let wave = TB.counted_enterprise_wave(1, 10);
+        let one = ShardPlan::new(&TB.config(), 1).unwrap();
+        let queues = partition(&one, wave.clone(), 4);
+        let sizes: Vec<usize> = queues[0].iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 4, 2]);
+        let flat: Vec<u64> = queues[0].iter().flatten().map(|p| p.seq).collect();
+        assert_eq!(flat, (0..10).collect::<Vec<u64>>());
+
+        // Sharded: each packet lands on its port's shard, in order, and a
+        // whole-queue size yields one chunk per busy shard.
+        let two = ShardPlan::new(&TB.config(), 2).unwrap();
+        let queues = partition(&two, wave.clone(), usize::MAX);
+        assert_eq!(queues.len(), 2);
+        for (w, queue) in queues.iter().enumerate() {
+            assert_eq!(queue.len(), 1, "shard {w}");
+            assert!(queue[0].iter().all(|p| two.shard_of_port(p.port.0) == Some(w)));
+            assert!(queue[0].windows(2).all(|p| p[0].seq < p[1].seq), "shard {w}");
+        }
+        assert_eq!(queues.iter().flatten().map(Vec::len).sum::<usize>(), wave.len());
+
+        assert!(partition(&two, Vec::new(), 4).iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn batched_paths_cut_messages_to_the_configured_batch() {
+        // `batch` is the unit of batched execution and the span reordering
+        // is clamped to: one arena comes back per message, so the arena
+        // count and sizes show what travelled.
+        let mut engine =
+            TB.build_engine(EngineConfig { workers: 1, batch: 16, ring_depth: 4 }).unwrap();
+        let check = |out: &EngineOutput, what: &str| {
+            let sizes: Vec<usize> = out.per_worker[0].iter().map(BatchOutput::len).collect();
+            assert_eq!(sizes.len(), 100usize.div_ceil(16), "{what}: {sizes:?}");
+            assert!(sizes.iter().all(|&s| s <= 16), "{what}: {sizes:?}");
+        };
+        let split = engine.process(TB.counted_enterprise_wave(2, 100));
+        assert_eq!(split.packets(), 100);
+        check(&split, "process");
+        check(&engine.process(reflect_outputs(split.iter(), TB.sink_mac())), "merge phase");
+        // A lossy leg keeps the message count and can only shrink arenas.
+        let adv = AdversityProfile {
+            seed: 1,
+            to_nf: pp_netsim::adversity::LegProfile::loss(0.05),
+            ..AdversityProfile::disabled()
+        };
+        let wave = TB.counted_enterprise_wave(3, 100);
+        check(&engine.process_roundtrip_adverse(wave, TB.sink_mac(), &adv), "adverse");
+        // The plain round trip ships the shard's queue whole.
+        let whole = engine.process_roundtrip(TB.counted_enterprise_wave(4, 100), TB.sink_mac());
+        assert_eq!(whole.per_worker[0].len(), 1);
+        assert_eq!(whole.packets(), 100);
+    }
+
+    #[test]
     fn rejects_bad_configs() {
         assert!(TB.build_engine(EngineConfig { workers: 5, ..Default::default() }).is_err());
         assert!(TB.build_engine(EngineConfig { batch: 0, ..Default::default() }).is_err());
         assert!(TB.build_engine(EngineConfig { ring_depth: 0, ..Default::default() }).is_err());
-    }
-
-    #[test]
-    fn chunking_preserves_order_and_sizes() {
-        let q = TB.counted_enterprise_wave(1, 10);
-        let chunks = chunked(q.clone(), 4);
-        assert_eq!(chunks.len(), 3);
-        let flat: Vec<u64> = chunks.iter().flatten().map(|p| p.seq).collect();
-        assert_eq!(flat, (0..10).collect::<Vec<u64>>());
-        assert!(chunked(Vec::new(), 4).is_empty());
     }
 }

@@ -1,5 +1,5 @@
-//! **`pp_fastpath`** — a sharded, batched, multi-worker execution engine
-//! for the PayloadPark Split/Merge dataplane.
+//! **`pp_fastpath`** — a sharded multi-worker execution engine for the
+//! PayloadPark Split/Merge dataplane.
 //!
 //! The reproduction's reference pipeline ([`pp_rmt::Pipeline`]) is
 //! deliberately scalar and deterministic: one packet at a time, one thread.
@@ -10,10 +10,11 @@
 //!   §6.2.4 port→slice mapping, giving each worker a disjoint slice of the
 //!   parking store's circular buffers;
 //! * [`engine::Engine`] owns one switch per shard and drives N worker
-//!   threads over lock-free SPSC rings ([`spsc`]), each worker processing
-//!   packet *batches* through the batched dataplane
-//!   ([`pp_rmt::SwitchModel::process_batch`]), which amortizes MAT
-//!   dispatch and deparses into a shared arena;
+//!   threads over lock-free SPSC rings ([`spsc`]). The round trip runs
+//!   each shard to completion: a worker takes its share of the wave whole
+//!   and runs the scalar per-packet loop (Split → NF bounce → Merge) into
+//!   a recycled arena. Two-phase waves travel in *batches* through the
+//!   batched dataplane ([`pp_rmt::SwitchModel::process_batch`]);
 //! * [`adapter`] bridges [`pp_trafficgen`] streams in (paced ingest) and
 //!   meters packets/sec and goodput out;
 //! * [`adversity`] applies [`pp_netsim::adversity`] scenarios to engine
@@ -21,7 +22,7 @@
 //!   loss/reorder/duplication/truncation, deterministically enough that
 //!   scalar and sharded runs suffer identical misfortune.
 //!
-//! Sharded-batched execution is *observationally identical* to the scalar
+//! Sharded execution is *observationally identical* to the scalar
 //! pipeline: a slice's register cells are only ever touched by its own
 //! shard, each shard preserves arrival order, and batch execution performs
 //! register accesses in the same per-array order as scalar execution (see

@@ -12,8 +12,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
-# First-party code only: the vendored crates.io stand-ins are outside this
-# policy's scope (they are audited as a unit when imported).
+# First-party code only (the benchmark package included): the vendored
+# crates.io stand-ins are outside this policy's scope (they are audited as
+# a unit when imported).
 while IFS=: read -r file line text; do
     # Skip pure-comment or attribute mentions of the word "unsafe".
     stripped="${text%%//*}"
@@ -50,7 +51,7 @@ while IFS=: read -r file line text; do
     echo "unsafe_gate: $file:$line: unsafe without a // SAFETY: comment"
     echo "    $text"
     fail=1
-done < <(grep -rn --include='*.rs' -w 'unsafe' crates src examples 2>/dev/null || true)
+done < <(grep -rn --include='*.rs' -w 'unsafe' crates src examples pp-bench/src 2>/dev/null || true)
 
 if [ "$fail" -ne 0 ]; then
     echo "unsafe_gate: FAIL — annotate each site with // SAFETY: <why this is sound>"

@@ -1,13 +1,18 @@
-//! Steady-state allocation discipline of the batched hot path.
+//! Steady-state allocation discipline of the hot paths.
 //!
 //! The zero-copy refactor pools every per-packet buffer the switch needs
 //! (PHVs, origin/by-pipe scratch, the deparse arena, recirculation
 //! ping-pong frames), so a warm [`SwitchModel::process_batch`] must not
 //! touch the heap at all. This test wraps the system allocator in a
 //! counting shim, runs two warm-up batches to size the pools, and then
-//! asserts the third batch performs exactly zero allocations.
+//! asserts the third batch performs exactly zero allocations. The
+//! engine's round trip recycles its output arenas the same way, so a warm
+//! wave allocates per worker, never per packet or per batch.
+//!
+//! The counter is global, so the file holds one `#[test]` that runs the
+//! checks in sequence: no other test's thread allocates while one counts.
 
-use pp_fastpath::SlicedTestbed;
+use pp_fastpath::{EngineConfig, SlicedTestbed};
 use pp_rmt::switch::BatchOutput;
 use pp_rmt::SwitchModel;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,7 +71,6 @@ fn allocs_in_last_batch(sw: &mut SwitchModel, tb: &SlicedTestbed, batches: usize
     last
 }
 
-#[test]
 fn warm_process_batch_never_allocates() {
     let tb = SlicedTestbed::new(8, 2048);
 
@@ -78,4 +82,32 @@ fn warm_process_batch_never_allocates() {
         park_allocs, 0,
         "3rd batch through the PayloadPark program allocated {park_allocs} times"
     );
+}
+
+/// A warm 4 096-packet round-trip wave through the 2-worker engine,
+/// counted on every thread: the dispatcher's partition queues, message
+/// deques and result vectors, a dozen allocations or so — nothing that
+/// grows with the packet count (2 × 2 048) or the batch count (2 × 16).
+fn warm_engine_roundtrip_allocates_per_worker() {
+    let tb = SlicedTestbed::new(8, 2048);
+    let mut engine = tb.build_engine(EngineConfig { workers: 2, ..Default::default() }).unwrap();
+    let wave = tb.counted_mixed_wave(17, 4096);
+    // Cloned up front: the engine consumes its input, and the clone's
+    // 4 096 buffers are the caller's, not the engine's.
+    let waves: Vec<_> = (0..3).map(|_| wave.clone()).collect();
+    let mut last = 0;
+    for inputs in waves {
+        let before = allocs();
+        let out = engine.process_roundtrip(inputs, tb.sink_mac());
+        last = allocs() - before;
+        assert_eq!(out.packets(), 4096);
+        // Dropped here: the arenas are back in the pool for the next wave.
+    }
+    assert!(last < 100, "3rd round-trip wave allocated {last} times");
+}
+
+#[test]
+fn steady_state_allocation_discipline() {
+    warm_process_batch_never_allocates();
+    warm_engine_roundtrip_allocates_per_worker();
 }
