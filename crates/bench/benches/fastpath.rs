@@ -10,8 +10,14 @@
 //! apples-to-apples. Each worker runs the scalar loop on its shard's share
 //! of the wave into a recycled arena, so speedup over scalar is bounded by
 //! the host's spare cores: N cores retire ~N shards concurrently, a
-//! single-core host merely time-slices them. `PP_BENCH_FAST=1` shrinks the measurement to a smoke
-//! pass, as for the other targets.
+//! single-core host merely time-slices them. `PP_BENCH_FAST=1` shrinks the
+//! measurement to a smoke pass, as for the other targets.
+//!
+//! `pp-bench`'s `scalar_mixed`/`engine_2w` workloads are the measurement
+//! of record for this comparison. This target stays because it is the
+//! only caller that issues waves back to back (no pause between waves,
+//! the next `wave.clone()` racing the workers' frees) — a regime where
+//! the engine still loses — until `pp-bench` grows that mode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pp_fastpath::{EngineConfig, SlicedTestbed};

@@ -29,11 +29,14 @@
 //!   tagger `ti`/`clk` sequences travel with their slice, and every
 //!   rebuilt switch carries its counter and stats history forward so the
 //!   global balance equation never tears.
+//!
+//! [`FlowStore`]: payloadpark::FlowStore
+//! [`FlowStore::extract_range`]: payloadpark::FlowStore::extract_range
 
 use crate::plan::ClusterPlan;
 use crate::ring::{splitmix64, HashRing};
 use payloadpark::counters::CounterSnapshot;
-use payloadpark::flowstore::{shared, CircularStore, FlowStore, SlabStore};
+use payloadpark::flowstore::{lock, shared, CircularStore, SlabStore};
 use payloadpark::oracle::{check_cluster, OracleReport};
 use payloadpark::storeprog::{build_store_switch_with_bases, StoreControl};
 use payloadpark::{BuildError, ParkConfig, SharedStore};
@@ -47,7 +50,6 @@ use pp_packet::MacAddr;
 use pp_rmt::switch::{BatchPacket, SwitchModel, SwitchOutput, SwitchStats};
 use pp_rmt::PortId;
 use std::collections::BTreeMap;
-use std::sync::MutexGuard;
 
 /// Which park-table implementation backs each switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,10 +131,6 @@ struct Node {
     counter_base: CounterSnapshot,
     stats_base: SwitchStats,
     down: bool,
-}
-
-fn lock(store: &SharedStore) -> MutexGuard<'_, dyn FlowStore + 'static> {
-    store.lock().expect("flow store lock poisoned")
 }
 
 /// An undirected inter-switch link key.

@@ -5,10 +5,9 @@
 //! from the switch control plane (§5); this module provides the equivalent
 //! views over a running [`SwitchModel`].
 
-use crate::config::META_ENTRY_BYTES;
 use crate::counters::CounterSnapshot;
+use crate::flowstore::SlotMeta;
 use crate::program::PipeHandles;
-use pp_rmt::register::cell;
 use pp_rmt::resources::ResourceReport;
 use pp_rmt::switch::SwitchModel;
 
@@ -54,11 +53,7 @@ impl PipeControl {
         let pipe = switch.pipe(self.handles.pipe);
         let regs = pipe.registers();
         (0..self.handles.total_slots)
-            .filter(|&i| {
-                let c = regs.cell(self.handles.meta_tbl, i);
-                debug_assert_eq!(c.len(), META_ENTRY_BYTES);
-                cell::read_u16(&c[2..4]) > 0
-            })
+            .filter(|&i| SlotMeta::decode(regs.cell(self.handles.meta_tbl, i)).exp > 0)
             .count()
     }
 

@@ -1,19 +1,18 @@
 //! The park-table storage abstraction: [`FlowStore`].
 //!
-//! The register program ([`crate::program`]) hard-wires the paper's park
-//! table into per-stage register arrays: an 8-byte metadata cell and
+//! The Split/Merge program ([`crate::program`]) is written once over a
+//! park table it reaches through a fixed method set — probe, store a
+//! block, merge, load a block. On the ASIC model that table is the
+//! per-stage register arrays: an 8-byte metadata cell and
 //! `primary_blocks` 16-byte payload cells per slot, capacity fixed at
-//! build time. That is faithful to the ASIC, but the cluster tier needs
-//! the same *semantics* at a very different scale — millions of
-//! concurrent flows, sparse occupancy, slots migrating between switches.
-//!
-//! This module lifts the park table behind a trait with two
-//! implementations:
+//! build time. The cluster tier needs the same *semantics* at a very
+//! different scale — millions of concurrent flows, sparse occupancy,
+//! slots migrating between switches — so the same program also runs over
+//! a [`FlowStore`] ([`crate::storeprog`]), with two implementations:
 //!
 //! * [`CircularStore`] — the register file's dense layout verbatim: a
 //!   flat metadata array plus a payload arena, full capacity allocated up
-//!   front. The reference implementation; byte-for-byte what the
-//!   register program does.
+//!   front.
 //! * [`SlabStore`] — a sparse map of occupied slots over a
 //!   generational-index slab ([`Slab`]/[`SlabHandle`]) for payload
 //!   storage: memory is proportional to *occupancy*, not capacity, so a
@@ -25,21 +24,25 @@
 //!   payloads out of the bounded hot slab (modeling off-ASIC memory for
 //!   long-parked flows) and restores them transparently.
 //!
-//! Every operation mirrors one register-program action exactly — the
-//! aging/occupy rules of `split_probe`, the reclaim/duplicate/premature
-//! classification of `merge_validate`, the load-then-zero of
-//! `merge_load_j`. Crucially, [`FlowStore::merge`] clears only the slot's
-//! *metadata*; payload bytes stay in place until [`FlowStore::load_block`]
-//! drains them, preserving the register file's aliasing behaviour under
-//! batched (stage-outer) execution. `tests/flowstore_matrix.rs` pins the
-//! equivalence over the full adversity matrix.
+//! The slot state machine exists once: Alg. 1's aging/occupy rules are
+//! `probe_meta` and Alg. 2's reclaim/duplicate/premature classification
+//! is `classify_merge`, both over a `SlotMeta` — which the stores hold
+//! in-struct and the register file holds as an 8-byte cell
+//! (`SlotMeta::decode`/`encode`). [`FlowStore::merge`]
+//! clears only the slot's *metadata*; payload bytes stay in place until
+//! [`FlowStore::load_block`] drains them, which is the register file's
+//! aliasing behaviour under batched (stage-outer) execution.
+//! `tests/flowstore_matrix.rs` checks the stores against the register
+//! file over the full adversity matrix.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::config::{META_OFF_CLK, META_OFF_EXP, META_OFF_TSUM, META_OFF_XSUM};
 use pp_rmt::phv::BLOCK_BYTES;
+use pp_rmt::register::cell;
 
 /// What `split_probe` writes into a slot when it occupies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,8 +105,8 @@ pub struct ParkedFlow {
 
 /// The park table behind the dataplane program: metadata + payload
 /// storage for `slots()` logical slots of `blocks` 16-byte payload cells
-/// each. All methods mirror one register-program action; see the module
-/// docs for the exact correspondence.
+/// each. The four data-path methods are the ones the program's MATs
+/// call; see the module docs.
 pub trait FlowStore: Send {
     /// Logical capacity in slots (parent-deployment coordinates).
     fn slots(&self) -> usize;
@@ -160,14 +163,20 @@ pub fn shared(store: impl FlowStore + 'static) -> SharedStore {
     Arc::new(Mutex::new(store))
 }
 
-/// One slot's metadata, the in-struct form of the register file's 8-byte
-/// cell (`clk @0, exp @2, xsum @4, tsum @6`).
+/// Locks a shared store. The lock is only ever poisoned by a panic inside
+/// a store method, which is a bug in this crate.
+pub fn lock(store: &SharedStore) -> MutexGuard<'_, dyn FlowStore + 'static> {
+    store.lock().expect("flow store lock poisoned")
+}
+
+/// One slot's metadata. The stores hold it in-struct; the register file
+/// holds it as an 8-byte cell, and this type is that cell's one codec.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SlotMeta {
-    clk: u16,
-    exp: u16,
-    xsum: u16,
-    tsum: u16,
+pub(crate) struct SlotMeta {
+    pub(crate) clk: u16,
+    pub(crate) exp: u16,
+    pub(crate) xsum: u16,
+    pub(crate) tsum: u16,
 }
 
 impl SlotMeta {
@@ -178,11 +187,31 @@ impl SlotMeta {
     fn from_tag(tag: ParkTag) -> SlotMeta {
         SlotMeta { clk: tag.clk, exp: tag.expiry, xsum: tag.xsum, tsum: tag.tsum }
     }
+
+    /// Reads a `metadata_table` register cell.
+    pub(crate) fn decode(cell: &[u8]) -> SlotMeta {
+        let word = |off: usize| cell::read_u16(&cell[off..off + 2]);
+        SlotMeta {
+            clk: word(META_OFF_CLK),
+            exp: word(META_OFF_EXP),
+            xsum: word(META_OFF_XSUM),
+            tsum: word(META_OFF_TSUM),
+        }
+    }
+
+    /// Writes a `metadata_table` register cell.
+    pub(crate) fn encode(&self, cell: &mut [u8]) {
+        let mut word = |off: usize, v: u16| cell::write_u16(&mut cell[off..off + 2], v);
+        word(META_OFF_CLK, self.clk);
+        word(META_OFF_EXP, self.exp);
+        word(META_OFF_XSUM, self.xsum);
+        word(META_OFF_TSUM, self.tsum);
+    }
 }
 
-/// Shared probe logic: age, evict, occupy. Returns the outcome; `meta`
+/// Alg. 1 over one slot: age, evict, occupy. Returns the outcome; `meta`
 /// holds the post-probe state.
-fn probe_meta(meta: &mut SlotMeta, tag: ParkTag) -> ProbeOutcome {
+pub(crate) fn probe_meta(meta: &mut SlotMeta, tag: ParkTag) -> ProbeOutcome {
     let mut evicted = false;
     // Alg. 1 lines 11-13: age the occupant.
     if meta.exp >= 1 {
@@ -201,15 +230,25 @@ fn probe_meta(meta: &mut SlotMeta, tag: ParkTag) -> ProbeOutcome {
     }
 }
 
-/// Shared merge classification over a slot's metadata. `None` means the
-/// caller should reclaim (metadata is zeroed by the caller).
-fn classify_merge(meta: &SlotMeta, clk: u16) -> Option<MergeOutcome> {
+/// Alg. 2 over one slot, for an arrival whose tag already validated. A
+/// generation match reclaims: `meta` is zeroed and its parked checksum
+/// state returned.
+pub(crate) fn classify_merge(meta: &mut SlotMeta, clk: u16) -> MergeOutcome {
     if meta.exp > 0 && meta.clk == clk {
-        None // Alg. 2 lines 11-15: reclaim.
-    } else if meta.exp == 0 && meta.is_zero() {
-        Some(MergeOutcome::Duplicate)
+        // Alg. 2 lines 11-15: generations match — reclaim.
+        let (xsum, tsum) = (meta.xsum, meta.tsum);
+        *meta = SlotMeta::default();
+        MergeOutcome::Restored { xsum, tsum }
+    } else if meta.is_zero() {
+        // A cleared slot: it was already reclaimed by an earlier Merge or
+        // Explicit Drop, so this is a duplicate (or replayed) arrival. A
+        // lossy link's duplicate must never double-free the slot or
+        // splice a stale payload.
+        MergeOutcome::Duplicate
     } else {
-        Some(MergeOutcome::Premature)
+        // Premature eviction: the slot was aged out, and possibly
+        // re-occupied by a newer Split (§3.3).
+        MergeOutcome::Premature
     }
 }
 
@@ -273,16 +312,11 @@ impl FlowStore for CircularStore {
     }
 
     fn merge(&mut self, slot: usize, clk: u16) -> MergeOutcome {
-        let meta = &mut self.meta[slot];
-        match classify_merge(meta, clk) {
-            Some(outcome) => outcome,
-            None => {
-                let (xsum, tsum) = (meta.xsum, meta.tsum);
-                *meta = SlotMeta::default();
-                self.occupied -= 1;
-                MergeOutcome::Restored { xsum, tsum }
-            }
+        let outcome = classify_merge(&mut self.meta[slot], clk);
+        if matches!(outcome, MergeOutcome::Restored { .. }) {
+            self.occupied -= 1;
         }
+        outcome
     }
 
     fn load_block(&mut self, slot: usize, j: usize, out: &mut [u8]) {
@@ -677,18 +711,14 @@ impl FlowStore for SlabStore {
             // An absent entry is an all-zero cell: duplicate arrival.
             return MergeOutcome::Duplicate;
         };
-        match classify_merge(&state.meta, clk) {
-            Some(outcome) => outcome,
-            None => {
-                let (xsum, tsum) = (state.meta.xsum, state.meta.tsum);
-                state.meta = SlotMeta::default();
-                self.occupied -= 1;
-                // Payload stays for load_block to drain (register cells
-                // behave the same way); release if already empty.
-                self.release_if_drained(slot);
-                MergeOutcome::Restored { xsum, tsum }
-            }
+        let outcome = classify_merge(&mut state.meta, clk);
+        if matches!(outcome, MergeOutcome::Restored { .. }) {
+            self.occupied -= 1;
+            // Payload stays for load_block to drain (register cells
+            // behave the same way); release if already empty.
+            self.release_if_drained(slot);
         }
+        outcome
     }
 
     fn load_block(&mut self, slot: usize, j: usize, out: &mut [u8]) {

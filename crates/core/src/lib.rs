@@ -17,8 +17,10 @@
 //! * [`config`] — deployment description: which pipes/ports, how much
 //!   memory (with slicing across NF servers), expiry threshold,
 //!   recirculation;
-//! * [`program`] — the stage-by-stage MAT program (tagger, metadata table,
-//!   payload blocks striped across stages) plus [`program::build_switch`] /
+//! * [`program`] — the one stage-by-stage Split/Merge MAT program (tagger,
+//!   metadata-table probe, payload blocks striped across stages), written
+//!   over the park table as its single extern, plus
+//!   [`program::build_switch`] (the program on register arrays) and
 //!   [`program::build_baseline_switch`];
 //! * [`counters`] — the prototype's monitoring counters (§5);
 //! * [`control`] — control-plane views: occupancy, counter snapshots,
@@ -28,15 +30,14 @@
 //!   under injected loss, reordering, duplication and truncation;
 //! * [`shard`] — partitioning a deployment across parallel workers by the
 //!   §6.2.4 port→slice mapping (the `pp_fastpath` engine consumes this);
-//! * [`flowstore`] — the park table behind a trait: the register file's
-//!   circular buffers ([`flowstore::CircularStore`]) or a sparse
-//!   generational slab scaling to millions of concurrent flows
-//!   ([`flowstore::SlabStore`]), with migration support for the cluster
-//!   tier;
-//! * [`storeprog`] — the same MAT program as [`program`], driving a
-//!   [`flowstore::FlowStore`] instead of register arrays (byte- and
-//!   counter-identical on the single-switch paths; `pp_cluster` builds
-//!   its switches from this).
+//! * [`flowstore`] — the park table outside the register file: the
+//!   Alg. 1/2 slot state machine (shared with the register cell), the
+//!   dense [`flowstore::CircularStore`] and a sparse generational slab
+//!   scaling to millions of concurrent flows ([`flowstore::SlabStore`]),
+//!   with migration support for the cluster tier;
+//! * [`storeprog`] — [`program`]'s program built over a
+//!   [`flowstore::FlowStore`] instead of register arrays, and its control
+//!   plane (`pp_cluster` builds its switches from this).
 //!
 //! # Quick start
 //!

@@ -24,25 +24,31 @@
 //! Every stateful access is a single read-modify-write of one register cell
 //! per MAT per packet — the restriction that dictates the circular-buffer
 //! design and the fall-back-to-baseline behaviour (§4).
+//!
+//! The primary program is written exactly once (`build_pipe`), over the
+//! park table as its one extern (`ParkTable`): [`build_switch`] runs it on
+//! the register arrays above, [`crate::storeprog`] on a
+//! [`crate::FlowStore`]. Gateways, summaries, footprints, PHV edits,
+//! counters, trace flags and stage placement do not depend on which; the
+//! slot state machine both share is `flowstore::{probe_meta,
+//! classify_merge}`.
 
-use crate::config::{
-    ParkConfig, PipePark, META_ENTRY_BYTES, META_OFF_CLK, META_OFF_EXP, META_OFF_TSUM,
-    META_OFF_XSUM,
-};
+use crate::config::{ParkConfig, PipePark, META_ENTRY_BYTES};
 use crate::counters::{
     COUNTER_NAMES, C_CRC_FAIL, C_DISABLED_OCCUPIED, C_DISABLED_SMALL_PAYLOAD, C_DUP_MERGE,
     C_ENB0_FROM_SERVER, C_EVICTIONS, C_EXPLICIT_DROPS, C_LEN_UNDERFLOW, C_MERGES,
     C_PREMATURE_EVICTIONS, C_SPLITS,
 };
+use crate::flowstore::{classify_merge, probe_meta, MergeOutcome, ParkTag, ProbeOutcome, SlotMeta};
 use pp_packet::checksum::Checksum;
 use pp_packet::crc::tag_crc;
 use pp_packet::ppark::PAYLOADPARK_HEADER_LEN;
 use pp_packet::{IPV4_HEADER_LEN, UDP_HEADER_LEN};
 use pp_rmt::chip::{ChipProfile, PortSet};
-use pp_rmt::mat::{Mat, MatFootprint, MatchKind};
+use pp_rmt::mat::{Mat, MatBuilder, MatFootprint, MatchKind};
 use pp_rmt::parser::{BlockRule, ParserConfig};
 use pp_rmt::phv::{Phv, RecircTarget, BLOCK_BYTES};
-use pp_rmt::pipeline::{Pipeline, ProgramError};
+use pp_rmt::pipeline::{Pipeline, PipelineBuilder, ProgramError};
 use pp_rmt::register::{cell, RegisterId, RegisterSpec};
 use pp_rmt::summary::{BranchSummary, MatSummary, Req, Slot};
 use pp_rmt::switch::SwitchModel;
@@ -68,17 +74,17 @@ pub const META_XSUM: usize = 5;
 /// Generation-clock modulus (the tag carries a 16-bit clock).
 pub const MAX_CLK: u32 = 65_536;
 
-pub(crate) const PP_LEN: i32 = PAYLOADPARK_HEADER_LEN as i32;
+const PP_LEN: i32 = PAYLOADPARK_HEADER_LEN as i32;
 
 /// The summary [`Slot`] for one of the `META_*` metadata words.
-pub(crate) const fn m(w: usize) -> Slot {
+const fn m(w: usize) -> Slot {
     Slot::Meta(w as u8)
 }
 
 /// Summary fragment shared by every action that calls [`apply_len_delta`]:
 /// it reads and rewrites the IPv4/transport length fields and may drop on
 /// a length-guard trip.
-pub(crate) fn len_delta_effects(s: MatSummary) -> MatSummary {
+fn len_delta_effects(s: MatSummary) -> MatSummary {
     s.reads(Slot::Ipv4).reads(Slot::Transport).writes(Slot::Ipv4).writes(Slot::Transport).drops()
 }
 
@@ -135,10 +141,7 @@ pub struct PipeHandles {
 /// driven past their bounds by the fix-up; instead of emitting a corrupted
 /// length the guard drops the packet and bumps the `len_underflow`
 /// counter. Neither field is modified on a guarded drop.
-///
-/// Public so store-backed program variants ([`crate::storeprog`]) can
-/// reproduce the register program's length arithmetic bit for bit.
-pub fn apply_len_delta(phv: &mut Phv, delta: i32, counters: &mut [u64]) {
+fn apply_len_delta(phv: &mut Phv, delta: i32, counters: &mut [u64]) {
     if let Some(ip) = phv.ipv4.as_ref() {
         let floor = (IPV4_HEADER_LEN + ip.options.len()) as i32;
         let new = i32::from(ip.total_len) + delta;
@@ -171,9 +174,8 @@ pub fn apply_len_delta(phv: &mut Phv, delta: i32, counters: &mut [u64]) {
 /// (pseudo-header) and transport ports. Split parks this next to the
 /// original checksum; comparing it with the value recomputed at Merge
 /// tells the dataplane whether — and by how much — to repair the
-/// restored checksum (RFC 1624). Public for store-backed program
-/// variants ([`crate::storeprog`]).
-pub fn tuple_sum(phv: &Phv) -> u16 {
+/// restored checksum (RFC 1624).
+fn tuple_sum(phv: &Phv) -> u16 {
     let mut c = Checksum::new();
     if let Some(ip) = &phv.ipv4 {
         c.add_u32(ip.src);
@@ -194,8 +196,7 @@ pub fn tuple_sum(phv: &Phv) -> u16 {
 /// incrementally repaired (RFC 1624 Eqn. 3) when the NF rewrote any of
 /// the 5-tuple words while the payload was parked. A parked zero means
 /// the endpoint never computed a checksum (RFC 768) and stays zero.
-/// Public for store-backed program variants ([`crate::storeprog`]).
-pub fn restored_checksum(stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u16 {
+fn restored_checksum(stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u16 {
     if stored_xsum == 0 || tsum_now == stored_tsum {
         return stored_xsum;
     }
@@ -217,7 +218,7 @@ pub fn restored_checksum(stored_xsum: u16, stored_tsum: u16, tsum_now: u16) -> u
 /// striped from stage 2 onward (Fig. 4), wrapping onto extra MATs in the
 /// same stage when there are more blocks than stages. With the default 12
 /// stages and 10 blocks, each block gets its own stage.
-pub(crate) fn primary_block_stage(chip: &ChipProfile, j: usize) -> usize {
+fn primary_block_stage(chip: &ChipProfile, j: usize) -> usize {
     2 + (j % (chip.stages_per_pipe - 2))
 }
 
@@ -227,7 +228,7 @@ fn annex_block_stage(chip: &ChipProfile, j: usize) -> usize {
     j % chip.stages_per_pipe
 }
 
-pub(crate) fn gateway_footprint(key_bits: u32, vliw: u32) -> MatFootprint {
+fn gateway_footprint(key_bits: u32, vliw: u32) -> MatFootprint {
     MatFootprint {
         match_kind: MatchKind::Gateway,
         key_bits,
@@ -237,13 +238,167 @@ pub(crate) fn gateway_footprint(key_bits: u32, vliw: u32) -> MatFootprint {
     }
 }
 
-/// Builds the primary pipe's program.
-pub fn build_primary(
+/// The register cell an action was handed ([`pp_rmt::mat::ActionCtx::cell`]).
+pub(crate) type Cell<'a> = Option<&'a mut [u8]>;
+
+/// The program's one extern: how its MATs reach a park-table slot. The
+/// Split/Merge program below is written once over this method set; which
+/// implementation it runs on is a type parameter fixed when the pipe is
+/// built.
+///
+/// * [`RegisterPark`] — the ASIC model: `metadata_table` and
+///   `payload_block_j` register arrays, one read-modify-write of the cell
+///   the MAT's stateful binding selected.
+/// * `StorePark` ([`crate::storeprog`]) — a [`FlowStore`](crate::FlowStore)
+///   outside the register file, addressed by slot.
+///
+/// The `bind_*` hooks exist because the register MATs must carry their
+/// `.stateful(array, index)` bindings: `pp_rmt::resources` prices SRAM
+/// from them and `pp_verify`'s stage-locality and shard passes read
+/// them. The data-path methods take both the bound cell and the slot
+/// index; each implementation uses the one it needs. Callers pass only
+/// in-range slots.
+pub(crate) trait ParkTable: Clone + Send + 'static {
+    /// Binds `mat` to the metadata table, if that is a register array.
+    fn bind_meta(
+        &self,
+        mat: MatBuilder,
+        index: impl Fn(&Phv) -> Option<usize> + Send + 'static,
+    ) -> MatBuilder;
+
+    /// Binds `mat` to payload block `j` at the tagger's slot.
+    fn bind_block(&self, mat: MatBuilder, j: usize) -> MatBuilder;
+
+    /// Alg. 1 stage 2: age the occupant, occupy the slot with `tag` if free.
+    fn probe(&self, cell: Cell<'_>, slot: usize, tag: ParkTag) -> ProbeOutcome;
+
+    /// Alg. 2 stage 2: classify a validated merge arrival of generation `clk`.
+    fn merge(&self, cell: Cell<'_>, slot: usize, clk: u16) -> MergeOutcome;
+
+    /// Parks payload block `j`.
+    fn store_block(&self, cell: Cell<'_>, slot: usize, j: usize, data: &[u8]);
+
+    /// Copies payload block `j` into `out` and zeroes it (Alg. 2 line 23).
+    fn load_block(&self, cell: Cell<'_>, slot: usize, j: usize, out: &mut [u8]);
+}
+
+/// The slot the tagger chose for this packet.
+fn tagged_slot(p: &Phv) -> Option<usize> {
+    Some(p.meta[META_TBL_IDX] as usize)
+}
+
+/// The park table as per-stage register arrays. Every stateful access is
+/// a single read-modify-write of one cell per MAT per packet.
+#[derive(Clone)]
+pub(crate) struct RegisterPark {
+    meta_tbl: RegisterId,
+    pload: Vec<RegisterId>,
+}
+
+impl RegisterPark {
+    fn declare(b: &mut PipelineBuilder, cfg: &ParkConfig, slots: usize) -> RegisterPark {
+        let meta_tbl = b.register(RegisterSpec {
+            name: "metadata_table".into(),
+            stage: 1,
+            cell_bytes: META_ENTRY_BYTES,
+            cells: slots,
+        });
+        let pload = (0..cfg.primary_blocks)
+            .map(|j| {
+                b.register(RegisterSpec {
+                    name: format!("payload_block_{j}"),
+                    stage: primary_block_stage(&cfg.chip, j),
+                    cell_bytes: BLOCK_BYTES,
+                    cells: slots,
+                })
+            })
+            .collect();
+        RegisterPark { meta_tbl, pload }
+    }
+}
+
+impl ParkTable for RegisterPark {
+    fn bind_meta(
+        &self,
+        mat: MatBuilder,
+        index: impl Fn(&Phv) -> Option<usize> + Send + 'static,
+    ) -> MatBuilder {
+        mat.stateful(self.meta_tbl, index)
+    }
+
+    fn bind_block(&self, mat: MatBuilder, j: usize) -> MatBuilder {
+        mat.stateful(self.pload[j], tagged_slot)
+    }
+
+    fn probe(&self, cell: Cell<'_>, _slot: usize, tag: ParkTag) -> ProbeOutcome {
+        let cell = cell.expect("metadata_table bound");
+        let mut meta = SlotMeta::decode(cell);
+        let outcome = probe_meta(&mut meta, tag);
+        meta.encode(cell);
+        outcome
+    }
+
+    fn merge(&self, cell: Cell<'_>, _slot: usize, clk: u16) -> MergeOutcome {
+        let cell = cell.expect("metadata_table bound");
+        let mut meta = SlotMeta::decode(cell);
+        let outcome = classify_merge(&mut meta, clk);
+        if matches!(outcome, MergeOutcome::Restored { .. }) {
+            meta.encode(cell);
+        }
+        outcome
+    }
+
+    fn store_block(&self, cell: Cell<'_>, _slot: usize, _j: usize, data: &[u8]) {
+        cell.expect("payload block bound").copy_from_slice(data);
+    }
+
+    fn load_block(&self, cell: Cell<'_>, _slot: usize, _j: usize, out: &mut [u8]) {
+        let cell = cell.expect("payload block bound");
+        out.copy_from_slice(cell);
+        cell.fill(0);
+    }
+}
+
+/// What [`build_pipe`] hands back beside the pipeline: the table it was
+/// built over and the control plane's handles on the program's state.
+pub(crate) struct BuiltPipe<T> {
+    pub(crate) pipeline: Pipeline,
+    pub(crate) table: T,
+    /// The live expiry threshold (see [`PipeHandles::expiry`]).
+    pub(crate) expiry: Arc<AtomicU16>,
+    /// Tagger table-index register, one cell per slice in config order.
+    pub(crate) ti_reg: RegisterId,
+    /// Tagger generation-clock register, one cell per slice.
+    pub(crate) clk_reg: RegisterId,
+}
+
+/// Slice bases when a pipe's slices are laid out back to back from slot 0.
+pub(crate) fn cumulative_bases(pipe_cfg: &PipePark) -> Vec<u32> {
+    pipe_cfg
+        .slices
+        .iter()
+        .scan(0u32, |next, slice| {
+            let base = *next;
+            *next += slice.slots as u32;
+            Some(base)
+        })
+        .collect()
+}
+
+/// Builds the primary pipe's Split/Merge program over a park table of
+/// `slots` slots. `bases[i]` is slice `i`'s first slot in the table's
+/// coordinate space: [`cumulative_bases`] for a standalone switch, the
+/// parent deployment's layout for a cluster member. `declare_table` runs
+/// after the tagger registers are declared, so a register-backed table
+/// keeps its place in the register file.
+pub(crate) fn build_pipe<T: ParkTable>(
     cfg: &ParkConfig,
     pipe_cfg: &PipePark,
-) -> Result<(Pipeline, PipeHandles), ProgramError> {
+    bases: &[u32],
+    slots: usize,
+    declare_table: impl FnOnce(&mut PipelineBuilder) -> T,
+) -> Result<BuiltPipe<T>, ProgramError> {
     let chip = cfg.chip;
-    let total_slots = pipe_cfg.total_slots();
     let n_slices = pipe_cfg.slices.len();
 
     // Parser: extract blocks on split ports, expect the PayloadPark header
@@ -272,7 +427,7 @@ pub fn build_primary(
     let merge_ports: Arc<PortSet> =
         Arc::new(pipe_cfg.slices.iter().flat_map(|s| s.merge_ports.iter().copied()).collect());
     // Per-port slice lookup: slice id + 1 (for META_SLICE) and the slice's
-    // (base, size) geometry within the pipe's global table index space.
+    // (base, size) geometry within the table's slot space.
     let max_port = pipe_cfg
         .slices
         .iter()
@@ -281,18 +436,18 @@ pub fn build_primary(
         .map_or(0, usize::from);
     let mut slice_of_port = vec![0u32; max_port + 1];
     let mut geom_of_port: Vec<Option<(usize, u32, u32)>> = vec![None; max_port + 1];
-    let mut base = 0u32;
     for (idx, slice) in pipe_cfg.slices.iter().enumerate() {
         for &p in &slice.split_ports {
             slice_of_port[usize::from(p)] = idx as u32 + 1;
-            geom_of_port[usize::from(p)] = Some((idx, base, slice.slots as u32));
+            geom_of_port[usize::from(p)] = Some((idx, bases[idx], slice.slots as u32));
         }
-        base += slice.slots as u32;
     }
     let slice_of_port = Arc::new(slice_of_port);
     let geom_of_port = Arc::new(geom_of_port);
 
-    // Registers.
+    // Registers. The taggers are register-backed under every park table:
+    // their per-slice `ti`/`clk` sequences are what the cluster migrates
+    // with a slice.
     let ti_reg = b.register(RegisterSpec {
         name: "tagger_ti".into(),
         stage: 0,
@@ -305,22 +460,7 @@ pub fn build_primary(
         cell_bytes: 4,
         cells: n_slices,
     });
-    let meta_tbl = b.register(RegisterSpec {
-        name: "metadata_table".into(),
-        stage: 1,
-        cell_bytes: META_ENTRY_BYTES,
-        cells: total_slots,
-    });
-    let pload: Vec<RegisterId> = (0..cfg.primary_blocks)
-        .map(|j| {
-            b.register(RegisterSpec {
-                name: format!("payload_block_{j}"),
-                stage: primary_block_stage(&chip, j),
-                cell_bytes: BLOCK_BYTES,
-                cells: total_slots,
-            })
-        })
-        .collect();
+    let table = declare_table(&mut b);
 
     // --- Stage 0: slice selection (split) and disabled-header strip (merge).
     {
@@ -381,20 +521,19 @@ pub fn build_primary(
         let sp = split_ports.clone();
         move |p: &Phv| sp.contains(p.ingress_port.0) && p.blocks.iter().any(|blk| blk.valid)
     };
+    let slice_of = {
+        let geom = geom_of_port.clone();
+        move |p: &Phv| {
+            geom.get(usize::from(p.ingress_port.0)).copied().flatten().map(|(slice, _, _)| slice)
+        }
+    };
     {
         let geom = geom_of_port.clone();
-        let geom_idx = geom_of_port.clone();
         b.place(
             0,
             Mat::builder("tagger_ti")
                 .gateway(splittable.clone())
-                .stateful(ti_reg, move |p| {
-                    geom_idx
-                        .get(usize::from(p.ingress_port.0))
-                        .copied()
-                        .flatten()
-                        .map(|(slice, _, _)| slice)
-                })
+                .stateful(ti_reg, slice_of.clone())
                 .action(move |ctx| {
                     let (_, slice_base, slice_size) = geom[usize::from(ctx.phv.ingress_port.0)]
                         .expect("splittable gateway implies a split port");
@@ -412,34 +551,25 @@ pub fn build_primary(
                 .build(),
         );
     }
-    {
-        let geom_idx = geom_of_port.clone();
-        b.place(
-            0,
-            Mat::builder("tagger_clk")
-                .gateway(splittable.clone())
-                .stateful(clk_reg, move |p| {
-                    geom_idx
-                        .get(usize::from(p.ingress_port.0))
-                        .copied()
-                        .flatten()
-                        .map(|(slice, _, _)| slice)
-                })
-                .action(|ctx| {
-                    let cell_ref = ctx.cell.as_deref_mut().expect("clk bound");
-                    let clk = (cell::read_u32(cell_ref) + 1) % MAX_CLK;
-                    cell::write_u32(cell_ref, clk);
-                    ctx.phv.meta[META_CLK] = clk;
-                })
-                .summary(
-                    MatSummary::on_port_set((*split_ports).clone())
-                        .require(Req::Valid(Slot::Blocks))
-                        .writes(m(META_CLK)),
-                )
-                .footprint(gateway_footprint(20, 2))
-                .build(),
-        );
-    }
+    b.place(
+        0,
+        Mat::builder("tagger_clk")
+            .gateway(splittable.clone())
+            .stateful(clk_reg, slice_of)
+            .action(|ctx| {
+                let cell_ref = ctx.cell.as_deref_mut().expect("clk bound");
+                let clk = (cell::read_u32(cell_ref) + 1) % MAX_CLK;
+                cell::write_u32(cell_ref, clk);
+                ctx.phv.meta[META_CLK] = clk;
+            })
+            .summary(
+                MatSummary::on_port_set((*split_ports).clone())
+                    .require(Req::Valid(Slot::Blocks))
+                    .writes(m(META_CLK)),
+            )
+            .footprint(gateway_footprint(20, 2))
+            .build(),
+    );
 
     // --- Stage 1: split probe, small-payload fallback, merge validate.
     let expiry = Arc::new(AtomicU16::new(cfg.expiry_threshold));
@@ -447,49 +577,37 @@ pub fn build_primary(
         let max_exp = expiry.clone();
         let savings = cfg.primary_blocks as i32 * BLOCK_BYTES as i32 - PP_LEN;
         let recirc_split = pipe_cfg.annex_pipe.map(|pipe| RecircTarget { pipe, channel: 0 });
+        let tbl = table.clone();
         b.place(
             1,
-            Mat::builder("split_probe")
-                .gateway(splittable.clone())
-                .stateful(meta_tbl, |p| Some(p.meta[META_TBL_IDX] as usize))
+            table
+                .bind_meta(Mat::builder("split_probe").gateway(splittable), tagged_slot)
                 .action(move |ctx| {
-                    let cell_ref = ctx.cell.as_deref_mut().expect("meta_tbl bound");
-                    let mut exp = cell::read_u16(&cell_ref[META_OFF_EXP..META_OFF_EXP + 2]);
-                    // Alg. 1 lines 11-13: age the occupant.
-                    if exp >= 1 {
-                        exp -= 1;
-                        if exp == 0 {
-                            ctx.counters[C_EVICTIONS] += 1;
-                            ctx.phv.trace_flags |= decision::EVICT;
-                        }
-                    }
                     let phv = &mut *ctx.phv;
-                    if exp == 0 {
-                        // Alg. 1 lines 14-20: slot is free (or just evicted):
-                        // occupy it and enable Split. The original transport
-                        // checksum is parked with the payload — the wire
-                        // copy is zeroed while the payload is off the wire.
-                        let clk = phv.meta[META_CLK] as u16;
-                        let idx = phv.meta[META_TBL_IDX] as u16;
-                        cell::write_u16(&mut cell_ref[META_OFF_CLK..META_OFF_CLK + 2], clk);
-                        cell::write_u16(
-                            &mut cell_ref[META_OFF_EXP..META_OFF_EXP + 2],
-                            max_exp.load(Ordering::Relaxed),
-                        );
-                        cell::write_u16(
-                            &mut cell_ref[META_OFF_XSUM..META_OFF_XSUM + 2],
-                            phv.transport_checksum().unwrap_or(0),
-                        );
-                        cell::write_u16(
-                            &mut cell_ref[META_OFF_TSUM..META_OFF_TSUM + 2],
-                            tuple_sum(phv),
-                        );
+                    let idx = phv.meta[META_TBL_IDX];
+                    let clk = phv.meta[META_CLK] as u16;
+                    // The original transport checksum is parked with the
+                    // payload — the wire copy is zeroed while the payload
+                    // is off the wire.
+                    let tag = ParkTag {
+                        clk,
+                        expiry: max_exp.load(Ordering::Relaxed),
+                        xsum: phv.transport_checksum().unwrap_or(0),
+                        tsum: tuple_sum(phv),
+                    };
+                    let outcome = tbl.probe(ctx.cell.as_deref_mut(), idx as usize, tag);
+                    if outcome.evicted {
+                        ctx.counters[C_EVICTIONS] += 1;
+                        phv.trace_flags |= decision::EVICT;
+                    }
+                    if outcome.parked {
+                        // Alg. 1 lines 14-20: the slot is ours — enable Split.
                         phv.pp.valid = true;
                         phv.pp.enb = true;
                         phv.pp.op_drop = false;
-                        phv.pp.tbl_idx = idx;
+                        phv.pp.tbl_idx = idx as u16;
                         phv.pp.clk = clk;
-                        phv.pp.crc = tag_crc(idx, clk);
+                        phv.pp.crc = tag_crc(idx as u16, clk);
                         phv.meta[META_SPLIT_OK] = 1;
                         ctx.counters[C_SPLITS] += 1;
                         phv.trace_flags |= decision::SPLIT;
@@ -498,9 +616,8 @@ pub fn build_primary(
                             phv.verdict.recirculate = Some(t);
                         }
                     } else {
-                        // Alg. 1 lines 21-23: occupied — write back the aged
-                        // threshold, disable Split for this packet.
-                        cell::write_u16(&mut cell_ref[META_OFF_EXP..META_OFF_EXP + 2], exp);
+                        // Alg. 1 lines 21-23: occupied — disable Split for
+                        // this packet.
                         phv.pp = Default::default();
                         phv.pp.valid = true;
                         ctx.counters[C_DISABLED_OCCUPIED] += 1;
@@ -568,41 +685,41 @@ pub fn build_primary(
         let mp = merge_ports.clone();
         let restore_primary = cfg.primary_blocks as i32 * BLOCK_BYTES as i32;
         let recirc_merge = pipe_cfg.annex_pipe.map(|pipe| RecircTarget { pipe, channel: 1 });
-        let slots = total_slots;
+        let in_table = move |p: &Phv| {
+            let i = usize::from(p.pp.tbl_idx);
+            (i < slots).then_some(i)
+        };
+        let tbl = table.clone();
         b.place(
             1,
-            Mat::builder("merge_validate")
-                .gateway(move |p| p.pp.valid && p.pp.enb && mp.contains(p.ingress_port.0))
-                .stateful(meta_tbl, move |p| {
-                    let i = usize::from(p.pp.tbl_idx);
-                    (i < slots).then_some(i)
-                })
+            table
+                .bind_meta(
+                    Mat::builder("merge_validate")
+                        .gateway(move |p| p.pp.valid && p.pp.enb && mp.contains(p.ingress_port.0)),
+                    in_table,
+                )
                 .action(move |ctx| {
-                    let crc_ok = tag_crc(ctx.phv.pp.tbl_idx, ctx.phv.pp.clk) == ctx.phv.pp.crc;
-                    let Some(cell_ref) = ctx.cell.as_deref_mut().filter(|_| crc_ok) else {
-                        // Corrupted or out-of-range tag: never touch memory.
+                    let phv = &mut *ctx.phv;
+                    let crc_ok = tag_crc(phv.pp.tbl_idx, phv.pp.clk) == phv.pp.crc;
+                    let Some(slot) = in_table(phv).filter(|_| crc_ok) else {
+                        // Corrupted or out-of-range tag: never touch the table.
                         ctx.counters[C_CRC_FAIL] += 1;
-                        ctx.phv.trace_flags |= decision::CRC_FAIL;
-                        ctx.phv.verdict.drop = true;
+                        phv.trace_flags |= decision::CRC_FAIL;
+                        phv.verdict.drop = true;
                         return;
                     };
-                    let stored_clk = cell::read_u16(&cell_ref[META_OFF_CLK..META_OFF_CLK + 2]);
-                    let exp = cell::read_u16(&cell_ref[META_OFF_EXP..META_OFF_EXP + 2]);
-                    let stored_xsum = cell::read_u16(&cell_ref[META_OFF_XSUM..META_OFF_XSUM + 2]);
-                    let stored_tsum = cell::read_u16(&cell_ref[META_OFF_TSUM..META_OFF_TSUM + 2]);
-                    let phv = &mut *ctx.phv;
-                    if exp > 0 && stored_clk == phv.pp.clk {
-                        // Alg. 2 lines 11-15: generations match — reclaim.
-                        cell_ref.fill(0);
-                        phv.meta[META_MERGE_OK] = 1;
-                        phv.meta[META_TBL_IDX] = u32::from(phv.pp.tbl_idx);
-                        if phv.pp.op_drop {
-                            // Explicit Drop (§6.2.4): reclaim only.
-                            ctx.counters[C_EXPLICIT_DROPS] += 1;
-                            phv.trace_flags |= decision::EXPLICIT_DROP;
-                            phv.pp.valid = false;
-                            phv.verdict.drop = true;
-                        } else {
+                    match tbl.merge(ctx.cell.as_deref_mut(), slot, phv.pp.clk) {
+                        MergeOutcome::Restored { xsum: stored_xsum, tsum: stored_tsum } => {
+                            phv.meta[META_MERGE_OK] = 1;
+                            phv.meta[META_TBL_IDX] = u32::from(phv.pp.tbl_idx);
+                            if phv.pp.op_drop {
+                                // Explicit Drop (§6.2.4): reclaim only.
+                                ctx.counters[C_EXPLICIT_DROPS] += 1;
+                                phv.trace_flags |= decision::EXPLICIT_DROP;
+                                phv.pp.valid = false;
+                                phv.verdict.drop = true;
+                                return;
+                            }
                             ctx.counters[C_MERGES] += 1;
                             phv.trace_flags |= decision::MERGE;
                             // Un-park the original transport checksum along
@@ -625,24 +742,20 @@ pub fn build_primary(
                                 }
                             }
                         }
-                    } else if exp == 0 && cell_ref.iter().all(|b| *b == 0) {
-                        // A cleared slot with a validated tag: the slot was
-                        // already reclaimed by an earlier Merge or Explicit
-                        // Drop, so this is a duplicate (or replayed)
-                        // arrival. Drop it without touching memory — the
-                        // payload was restored exactly once and a lossy
-                        // link's duplicate must never double-free the slot
-                        // or splice a stale payload.
-                        ctx.counters[C_DUP_MERGE] += 1;
-                        phv.trace_flags |= decision::DUP_MERGE;
-                        phv.verdict.drop = true;
-                    } else {
-                        // Premature eviction: the payload is gone (the slot
-                        // was aged out, and possibly re-occupied by a newer
-                        // Split). Drop the packet and record it (§3.3).
-                        ctx.counters[C_PREMATURE_EVICTIONS] += 1;
-                        phv.trace_flags |= decision::PREMATURE_EVICT;
-                        phv.verdict.drop = true;
+                        MergeOutcome::Duplicate => {
+                            // The payload was restored exactly once; drop
+                            // the replay without touching memory.
+                            ctx.counters[C_DUP_MERGE] += 1;
+                            phv.trace_flags |= decision::DUP_MERGE;
+                            phv.verdict.drop = true;
+                        }
+                        MergeOutcome::Premature => {
+                            // The payload is gone: drop the packet and
+                            // record it (§3.3).
+                            ctx.counters[C_PREMATURE_EVICTIONS] += 1;
+                            phv.trace_flags |= decision::PREMATURE_EVICT;
+                            phv.verdict.drop = true;
+                        }
                     }
                 })
                 .summary({
@@ -681,19 +794,25 @@ pub fn build_primary(
     }
 
     // --- Stages 2..N: payload blocks (Alg. 1/2 stages 3..N, Fig. 4).
-    for (j, &reg) in pload.iter().enumerate() {
+    for j in 0..cfg.primary_blocks {
         let st = primary_block_stage(&chip, j);
         {
             let sp = split_ports.clone();
+            let tbl = table.clone();
             b.place(
                 st,
-                Mat::builder(format!("split_store_{j}"))
-                    .gateway(move |p| p.meta[META_SPLIT_OK] == 1 && sp.contains(p.ingress_port.0))
-                    .stateful(reg, |p| Some(p.meta[META_TBL_IDX] as usize))
+                table
+                    .bind_block(
+                        Mat::builder(format!("split_store_{j}")).gateway(move |p| {
+                            p.meta[META_SPLIT_OK] == 1 && sp.contains(p.ingress_port.0)
+                        }),
+                        j,
+                    )
                     .action(move |ctx| {
-                        let cell_ref = ctx.cell.as_deref_mut().expect("payload bound");
-                        cell_ref.copy_from_slice(&ctx.phv.blocks[j].data);
-                        ctx.phv.blocks[j].valid = false;
+                        let slot = ctx.phv.meta[META_TBL_IDX] as usize;
+                        let block = &mut ctx.phv.blocks[j];
+                        tbl.store_block(ctx.cell.as_deref_mut(), slot, j, &block.data);
+                        block.valid = false;
                     })
                     .summary(
                         MatSummary::on_port_set((*split_ports).clone())
@@ -707,16 +826,21 @@ pub fn build_primary(
         }
         {
             let mp = merge_ports.clone();
+            let tbl = table.clone();
             b.place(
                 st,
-                Mat::builder(format!("merge_load_{j}"))
-                    .gateway(move |p| p.meta[META_MERGE_OK] == 1 && mp.contains(p.ingress_port.0))
-                    .stateful(reg, |p| Some(p.meta[META_TBL_IDX] as usize))
+                table
+                    .bind_block(
+                        Mat::builder(format!("merge_load_{j}")).gateway(move |p| {
+                            p.meta[META_MERGE_OK] == 1 && mp.contains(p.ingress_port.0)
+                        }),
+                        j,
+                    )
                     .action(move |ctx| {
-                        let cell_ref = ctx.cell.as_deref_mut().expect("payload bound");
-                        ctx.phv.blocks[j].data.copy_from_slice(cell_ref);
-                        ctx.phv.blocks[j].valid = true;
-                        cell_ref.fill(0); // Alg. 2 line 23
+                        let slot = ctx.phv.meta[META_TBL_IDX] as usize;
+                        let block = &mut ctx.phv.blocks[j];
+                        tbl.load_block(ctx.cell.as_deref_mut(), slot, j, &mut block.data);
+                        block.valid = true;
                     })
                     .summary(
                         MatSummary::on_port_set((*merge_ports).clone())
@@ -731,19 +855,11 @@ pub fn build_primary(
         }
     }
 
-    let pipeline = b.build()?;
-    let handles = PipeHandles {
-        pipe: pipe_cfg.pipe,
-        meta_tbl,
-        total_slots,
-        annex_pipe: pipe_cfg.annex_pipe,
-        expiry,
-    };
-    Ok((pipeline, handles))
+    Ok(BuiltPipe { pipeline: b.build()?, table, expiry, ti_reg, clk_reg })
 }
 
 /// Builds the annex pipe's program (recirculation mode, §6.2.5).
-pub fn build_annex(
+fn build_annex(
     cfg: &ParkConfig,
     primary_cfg: &PipePark,
     annex_pipe: usize,
@@ -910,9 +1026,18 @@ pub fn build_switch(cfg: &ParkConfig) -> Result<(SwitchModel, Vec<PipeHandles>),
     let mut pipelines: Vec<Option<Pipeline>> = (0..chip.pipes).map(|_| None).collect();
     let mut handles = Vec::new();
     for pipe_cfg in &cfg.pipes {
-        let (pipeline, h) = build_primary(cfg, pipe_cfg)?;
-        pipelines[pipe_cfg.pipe] = Some(pipeline);
-        handles.push(h);
+        let total_slots = pipe_cfg.total_slots();
+        let built = build_pipe(cfg, pipe_cfg, &cumulative_bases(pipe_cfg), total_slots, |b| {
+            RegisterPark::declare(b, cfg, total_slots)
+        })?;
+        pipelines[pipe_cfg.pipe] = Some(built.pipeline);
+        handles.push(PipeHandles {
+            pipe: pipe_cfg.pipe,
+            meta_tbl: built.table.meta_tbl,
+            total_slots,
+            annex_pipe: pipe_cfg.annex_pipe,
+            expiry: built.expiry,
+        });
         if let Some(annex) = pipe_cfg.annex_pipe {
             pipelines[annex] = Some(build_annex(cfg, pipe_cfg, annex)?);
         }

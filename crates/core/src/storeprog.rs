@@ -1,15 +1,14 @@
-//! The store-backed PayloadPark program.
+//! The Split/Merge program over a [`FlowStore`] park table.
 //!
-//! [`crate::program::build_primary`] wires the park table into per-stage
-//! register arrays — the faithful ASIC model. This module builds the
-//! *same* match-action program (same gateways, same counters, same trace
-//! flags, same length arithmetic, same stage placement) with the park
-//! table behind a [`FlowStore`] instead: `split_probe`, `merge_validate`,
-//! `split_store_j` and `merge_load_j` drive a captured [`SharedStore`]
-//! rather than register cells. Everything a packet can observe — bytes
-//! out, counters, traces — is identical by construction; the
-//! `flowstore_matrix` integration test pins that over the full adversity
-//! matrix.
+//! There is one primary program, `program::build_pipe`; this module is
+//! its second park table. [`crate::program::build_switch`] runs the
+//! program over per-stage register arrays — the faithful ASIC model.
+//! Here `split_probe`, `merge_validate`, `split_store_j` and
+//! `merge_load_j` reach their slot through a captured [`SharedStore`]
+//! instead of a bound register cell; every gateway, counter, trace flag,
+//! length fix-up and stage placement is the same code. (A unit test below
+//! compares the two builds table by table; `tests/flowstore_matrix.rs`
+//! compares what they do to packets.)
 //!
 //! What the swap buys:
 //!
@@ -27,32 +26,20 @@
 //! plane migrates them explicitly ([`StoreControl::tagger_state`]).
 //! Recirculation (annex) is not supported in store mode.
 //!
+//! [`FlowStore`]: crate::flowstore::FlowStore
 //! [`SlabStore`]: crate::flowstore::SlabStore
 
 use crate::config::{ParkConfig, PipePark};
 use crate::counters::CounterSnapshot;
-use crate::counters::{
-    COUNTER_NAMES, C_CRC_FAIL, C_DISABLED_OCCUPIED, C_DISABLED_SMALL_PAYLOAD, C_DUP_MERGE,
-    C_ENB0_FROM_SERVER, C_EVICTIONS, C_EXPLICIT_DROPS, C_MERGES, C_PREMATURE_EVICTIONS, C_SPLITS,
-};
-use crate::flowstore::{FlowStore, MergeOutcome, ParkTag, SharedStore};
-use crate::program::{
-    apply_len_delta, gateway_footprint, len_delta_effects, m, primary_block_stage,
-    restored_checksum, tuple_sum, BuildError, MAX_CLK, META_CLK, META_MERGE_OK, META_SLICE,
-    META_SPLIT_OK, META_TBL_IDX, META_XSUM, PP_LEN,
-};
-use pp_packet::crc::tag_crc;
-use pp_rmt::chip::PortSet;
-use pp_rmt::mat::{Mat, MatFootprint, MatchKind};
-use pp_rmt::parser::{BlockRule, ParserConfig};
-use pp_rmt::phv::{Phv, BLOCK_BYTES};
+use crate::flowstore::{lock, MergeOutcome, ParkTag, ProbeOutcome, SharedStore};
+use crate::program::{build_pipe, cumulative_bases, BuildError, Cell, ParkTable};
+use pp_rmt::mat::MatBuilder;
+use pp_rmt::phv::Phv;
 use pp_rmt::pipeline::Pipeline;
-use pp_rmt::register::{cell, RegisterId, RegisterSpec};
-use pp_rmt::summary::{BranchSummary, MatSummary, Req, Slot};
+use pp_rmt::register::{cell, RegisterId};
 use pp_rmt::switch::SwitchModel;
-use pp_rmt::trace::decision;
 use std::sync::atomic::{AtomicU16, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 
 /// Control-plane handles for a store-backed pipe.
 #[derive(Clone)]
@@ -73,21 +60,49 @@ pub struct StoreHandles {
     pub slices: Vec<String>,
 }
 
-fn lock(store: &SharedStore) -> MutexGuard<'_, dyn FlowStore + 'static> {
-    store.lock().expect("flow store lock poisoned")
+/// The park table as a [`FlowStore`](crate::FlowStore): no register
+/// bindings, every access addressed by slot.
+#[derive(Clone)]
+struct StorePark(SharedStore);
+
+impl ParkTable for StorePark {
+    fn bind_meta(
+        &self,
+        mat: MatBuilder,
+        _index: impl Fn(&Phv) -> Option<usize> + Send + 'static,
+    ) -> MatBuilder {
+        mat
+    }
+
+    fn bind_block(&self, mat: MatBuilder, _j: usize) -> MatBuilder {
+        mat
+    }
+
+    fn probe(&self, _cell: Cell<'_>, slot: usize, tag: ParkTag) -> ProbeOutcome {
+        lock(&self.0).probe(slot, tag)
+    }
+
+    fn merge(&self, _cell: Cell<'_>, slot: usize, clk: u16) -> MergeOutcome {
+        lock(&self.0).merge(slot, clk)
+    }
+
+    fn store_block(&self, _cell: Cell<'_>, slot: usize, j: usize, data: &[u8]) {
+        lock(&self.0).store_block(slot, j, data);
+    }
+
+    fn load_block(&self, _cell: Cell<'_>, slot: usize, j: usize, out: &mut [u8]) {
+        lock(&self.0).load_block(slot, j, out);
+    }
 }
 
-/// Builds the store-backed primary program for one pipe. `bases[i]` is
-/// slice `i`'s first slot in the store's (global) coordinate space; for a
-/// standalone switch that is the cumulative layout the register program
-/// uses, for a cluster switch it is the parent deployment's layout.
-pub fn build_store_primary(
+/// Checks that `store` can back `pipe_cfg` with slices at `bases`, and
+/// returns the store's slot count.
+fn check_store(
     cfg: &ParkConfig,
     pipe_cfg: &PipePark,
     bases: &[u32],
-    store: SharedStore,
-) -> Result<(Pipeline, StoreHandles), BuildError> {
-    let chip = cfg.chip;
+    store: &SharedStore,
+) -> Result<usize, BuildError> {
     let n_slices = pipe_cfg.slices.len();
     if pipe_cfg.annex_pipe.is_some() {
         return Err(BuildError::Config(
@@ -100,17 +115,15 @@ pub fn build_store_primary(
             bases.len()
         )));
     }
-    let store_slots = {
-        let s = lock(&store);
-        if s.blocks() != cfg.primary_blocks {
-            return Err(BuildError::Config(format!(
-                "store holds {} payload blocks per slot, deployment parks {}",
-                s.blocks(),
-                cfg.primary_blocks
-            )));
-        }
-        s.slots()
-    };
+    let store = lock(store);
+    if store.blocks() != cfg.primary_blocks {
+        return Err(BuildError::Config(format!(
+            "store holds {} payload blocks per slot, deployment parks {}",
+            store.blocks(),
+            cfg.primary_blocks
+        )));
+    }
+    let store_slots = store.slots();
     for (slice, &base) in pipe_cfg.slices.iter().zip(bases) {
         if base as usize + slice.slots > store_slots {
             return Err(BuildError::Config(format!(
@@ -122,415 +135,7 @@ pub fn build_store_primary(
             )));
         }
     }
-
-    // Parser: identical to the register program.
-    let mut parser = ParserConfig { phv_block_capacity: cfg.primary_blocks, ..Default::default() };
-    let min_payload = cfg.min_split_payload(pipe_cfg);
-    for slice in &pipe_cfg.slices {
-        for &p in &slice.split_ports {
-            parser.block_rules.insert(p, BlockRule { blocks: cfg.primary_blocks, min_payload });
-        }
-        for &p in &slice.merge_ports {
-            parser.pp_header_ports.insert(p);
-        }
-    }
-
-    let mut b = Pipeline::builder(chip).parser(parser);
-    for name in COUNTER_NAMES {
-        let _ = b.counter(name);
-    }
-
-    let split_ports: Arc<PortSet> =
-        Arc::new(pipe_cfg.slices.iter().flat_map(|s| s.split_ports.iter().copied()).collect());
-    let merge_ports: Arc<PortSet> =
-        Arc::new(pipe_cfg.slices.iter().flat_map(|s| s.merge_ports.iter().copied()).collect());
-    let max_port = pipe_cfg
-        .slices
-        .iter()
-        .flat_map(|s| s.split_ports.iter().copied())
-        .max()
-        .map_or(0, usize::from);
-    let mut slice_of_port = vec![0u32; max_port + 1];
-    let mut geom_of_port: Vec<Option<(usize, u32, u32)>> = vec![None; max_port + 1];
-    for (idx, slice) in pipe_cfg.slices.iter().enumerate() {
-        for &p in &slice.split_ports {
-            slice_of_port[usize::from(p)] = idx as u32 + 1;
-            geom_of_port[usize::from(p)] = Some((idx, bases[idx], slice.slots as u32));
-        }
-    }
-    let slice_of_port = Arc::new(slice_of_port);
-    let geom_of_port = Arc::new(geom_of_port);
-
-    // Taggers stay register-backed: their per-slice sequences are the
-    // state that keeps builds byte-identical and migrates on rebalance.
-    let ti_reg = b.register(RegisterSpec {
-        name: "tagger_ti".into(),
-        stage: 0,
-        cell_bytes: 4,
-        cells: n_slices,
-    });
-    let clk_reg = b.register(RegisterSpec {
-        name: "tagger_clk".into(),
-        stage: 0,
-        cell_bytes: 4,
-        cells: n_slices,
-    });
-
-    // --- Stage 0: slice select, disabled-header strip, taggers. These are
-    // stateless w.r.t. the park table and match the register program
-    // action for action.
-    {
-        let sp = split_ports.clone();
-        let map = slice_of_port.clone();
-        b.place(
-            0,
-            Mat::builder("slice_select")
-                .gateway(move |p| sp.contains(p.ingress_port.0) && p.has_transport())
-                .action(move |ctx| {
-                    ctx.phv.meta[META_SLICE] =
-                        map.get(usize::from(ctx.phv.ingress_port.0)).copied().unwrap_or(0);
-                })
-                .summary(
-                    MatSummary::on_port_set((*split_ports).clone())
-                        .require(Req::Valid(Slot::Transport))
-                        .writes(m(META_SLICE)),
-                )
-                .footprint(MatFootprint {
-                    match_kind: MatchKind::Ternary,
-                    key_bits: 16,
-                    vliw_slots: 1,
-                    table_sram_bits: 0,
-                    tcam_bits: 512 * 88,
-                })
-                .build(),
-        );
-    }
-    {
-        let mp = merge_ports.clone();
-        b.place(
-            0,
-            Mat::builder("merge_strip_disabled")
-                .gateway(move |p| p.pp.valid && !p.pp.enb && mp.contains(p.ingress_port.0))
-                .action(|ctx| {
-                    ctx.phv.pp.valid = false;
-                    apply_len_delta(ctx.phv, -PP_LEN, ctx.counters);
-                    ctx.counters[C_ENB0_FROM_SERVER] += 1;
-                    ctx.phv.trace_flags |= decision::ENB0;
-                })
-                .summary(len_delta_effects(
-                    MatSummary::on_port_set((*merge_ports).clone())
-                        .require(Req::Valid(Slot::Pp))
-                        .require(Req::PpEnb(false))
-                        .sets_invalid(Slot::Pp),
-                ))
-                .footprint(gateway_footprint(18, 4))
-                .build(),
-        );
-    }
-    let splittable = {
-        let sp = split_ports.clone();
-        move |p: &Phv| sp.contains(p.ingress_port.0) && p.blocks.iter().any(|blk| blk.valid)
-    };
-    {
-        let geom = geom_of_port.clone();
-        let geom_idx = geom_of_port.clone();
-        b.place(
-            0,
-            Mat::builder("tagger_ti")
-                .gateway(splittable.clone())
-                .stateful(ti_reg, move |p| {
-                    geom_idx
-                        .get(usize::from(p.ingress_port.0))
-                        .copied()
-                        .flatten()
-                        .map(|(slice, _, _)| slice)
-                })
-                .action(move |ctx| {
-                    let (_, slice_base, slice_size) = geom[usize::from(ctx.phv.ingress_port.0)]
-                        .expect("splittable gateway implies a split port");
-                    let cell_ref = ctx.cell.as_deref_mut().expect("ti bound");
-                    let ti = (cell::read_u32(cell_ref) + 1) % slice_size;
-                    cell::write_u32(cell_ref, ti);
-                    ctx.phv.meta[META_TBL_IDX] = slice_base + ti;
-                })
-                .summary(
-                    MatSummary::on_port_set((*split_ports).clone())
-                        .require(Req::Valid(Slot::Blocks))
-                        .writes(m(META_TBL_IDX)),
-                )
-                .footprint(gateway_footprint(20, 2))
-                .build(),
-        );
-    }
-    {
-        let geom_idx = geom_of_port.clone();
-        b.place(
-            0,
-            Mat::builder("tagger_clk")
-                .gateway(splittable.clone())
-                .stateful(clk_reg, move |p| {
-                    geom_idx
-                        .get(usize::from(p.ingress_port.0))
-                        .copied()
-                        .flatten()
-                        .map(|(slice, _, _)| slice)
-                })
-                .action(|ctx| {
-                    let cell_ref = ctx.cell.as_deref_mut().expect("clk bound");
-                    let clk = (cell::read_u32(cell_ref) + 1) % MAX_CLK;
-                    cell::write_u32(cell_ref, clk);
-                    ctx.phv.meta[META_CLK] = clk;
-                })
-                .summary(
-                    MatSummary::on_port_set((*split_ports).clone())
-                        .require(Req::Valid(Slot::Blocks))
-                        .writes(m(META_CLK)),
-                )
-                .footprint(gateway_footprint(20, 2))
-                .build(),
-        );
-    }
-
-    // --- Stage 1: probe / small-payload fallback / validate, against the
-    // store instead of the metadata register array.
-    let expiry = Arc::new(AtomicU16::new(cfg.expiry_threshold));
-    {
-        let max_exp = expiry.clone();
-        let savings = cfg.primary_blocks as i32 * BLOCK_BYTES as i32 - PP_LEN;
-        let st = store.clone();
-        b.place(
-            1,
-            Mat::builder("split_probe")
-                .gateway(splittable.clone())
-                .action(move |ctx| {
-                    let phv = &mut *ctx.phv;
-                    let slot = phv.meta[META_TBL_IDX] as usize;
-                    let clk = phv.meta[META_CLK] as u16;
-                    let tag = ParkTag {
-                        clk,
-                        expiry: max_exp.load(Ordering::Relaxed),
-                        xsum: phv.transport_checksum().unwrap_or(0),
-                        tsum: tuple_sum(phv),
-                    };
-                    let outcome = lock(&st).probe(slot, tag);
-                    if outcome.evicted {
-                        ctx.counters[C_EVICTIONS] += 1;
-                        phv.trace_flags |= decision::EVICT;
-                    }
-                    if outcome.parked {
-                        let idx = phv.meta[META_TBL_IDX] as u16;
-                        phv.pp.valid = true;
-                        phv.pp.enb = true;
-                        phv.pp.op_drop = false;
-                        phv.pp.tbl_idx = idx;
-                        phv.pp.clk = clk;
-                        phv.pp.crc = tag_crc(idx, clk);
-                        phv.meta[META_SPLIT_OK] = 1;
-                        ctx.counters[C_SPLITS] += 1;
-                        phv.trace_flags |= decision::SPLIT;
-                        apply_len_delta(phv, -savings, ctx.counters);
-                    } else {
-                        phv.pp = Default::default();
-                        phv.pp.valid = true;
-                        ctx.counters[C_DISABLED_OCCUPIED] += 1;
-                        phv.trace_flags |= decision::DISABLED_OCCUPIED;
-                        apply_len_delta(phv, PP_LEN, ctx.counters);
-                    }
-                })
-                .summary(
-                    len_delta_effects(
-                        MatSummary::on_port_set((*split_ports).clone())
-                            .require(Req::Valid(Slot::Blocks))
-                            .reads(m(META_TBL_IDX))
-                            .reads(m(META_CLK))
-                            .writes(Slot::Pp)
-                            .sets_valid(Slot::Pp),
-                    )
-                    .branch(
-                        BranchSummary::new("split").sets_enb(true).sets_flag(META_SPLIT_OK as u8),
-                    )
-                    .branch(BranchSummary::new("occupied").sets_enb(false)),
-                )
-                .footprint(gateway_footprint(52, 6))
-                .build(),
-        );
-    }
-    {
-        let sp = split_ports.clone();
-        b.place(
-            1,
-            Mat::builder("split_small")
-                .gateway(move |p| {
-                    sp.contains(p.ingress_port.0)
-                        && p.has_transport()
-                        && !p.blocks.iter().any(|blk| blk.valid)
-                })
-                .action(|ctx| {
-                    ctx.phv.pp = Default::default();
-                    ctx.phv.pp.valid = true;
-                    ctx.counters[C_DISABLED_SMALL_PAYLOAD] += 1;
-                    ctx.phv.trace_flags |= decision::DISABLED_SMALL;
-                    apply_len_delta(ctx.phv, PP_LEN, ctx.counters);
-                })
-                .summary(len_delta_effects(
-                    MatSummary::on_port_set((*split_ports).clone())
-                        .require(Req::Valid(Slot::Transport))
-                        .require(Req::Invalid(Slot::Blocks))
-                        .writes(Slot::Pp)
-                        .sets_valid(Slot::Pp)
-                        .sets_enb(false),
-                ))
-                .footprint(gateway_footprint(20, 4))
-                .build(),
-        );
-    }
-    {
-        let mp = merge_ports.clone();
-        let restore_primary = cfg.primary_blocks as i32 * BLOCK_BYTES as i32;
-        let st = store.clone();
-        let slots_bound = store_slots;
-        b.place(
-            1,
-            Mat::builder("merge_validate")
-                .gateway(move |p| p.pp.valid && p.pp.enb && mp.contains(p.ingress_port.0))
-                .action(move |ctx| {
-                    let phv = &mut *ctx.phv;
-                    let idx = usize::from(phv.pp.tbl_idx);
-                    let crc_ok = tag_crc(phv.pp.tbl_idx, phv.pp.clk) == phv.pp.crc;
-                    if !crc_ok || idx >= slots_bound {
-                        // Corrupted or out-of-range tag: never touch the store.
-                        ctx.counters[C_CRC_FAIL] += 1;
-                        phv.trace_flags |= decision::CRC_FAIL;
-                        phv.verdict.drop = true;
-                        return;
-                    }
-                    match lock(&st).merge(idx, phv.pp.clk) {
-                        MergeOutcome::Restored { xsum: stored_xsum, tsum: stored_tsum } => {
-                            phv.meta[META_MERGE_OK] = 1;
-                            phv.meta[META_TBL_IDX] = u32::from(phv.pp.tbl_idx);
-                            if phv.pp.op_drop {
-                                ctx.counters[C_EXPLICIT_DROPS] += 1;
-                                phv.trace_flags |= decision::EXPLICIT_DROP;
-                                phv.pp.valid = false;
-                                phv.verdict.drop = true;
-                            } else {
-                                ctx.counters[C_MERGES] += 1;
-                                phv.trace_flags |= decision::MERGE;
-                                let xsum =
-                                    restored_checksum(stored_xsum, stored_tsum, tuple_sum(phv));
-                                phv.set_transport_checksum(xsum);
-                                phv.meta[META_XSUM] = u32::from(xsum);
-                                apply_len_delta(phv, restore_primary - PP_LEN, ctx.counters);
-                                phv.pp.valid = false;
-                            }
-                        }
-                        MergeOutcome::Duplicate => {
-                            ctx.counters[C_DUP_MERGE] += 1;
-                            phv.trace_flags |= decision::DUP_MERGE;
-                            phv.verdict.drop = true;
-                        }
-                        MergeOutcome::Premature => {
-                            ctx.counters[C_PREMATURE_EVICTIONS] += 1;
-                            phv.trace_flags |= decision::PREMATURE_EVICT;
-                            phv.verdict.drop = true;
-                        }
-                    }
-                })
-                .summary(
-                    MatSummary::on_port_set((*merge_ports).clone())
-                        .require(Req::Valid(Slot::Pp))
-                        .require(Req::PpEnb(true))
-                        .reads(Slot::Pp)
-                        .branch(BranchSummary::new("crc_fail").drops())
-                        .branch(
-                            BranchSummary::new("merge")
-                                .sets_flag(META_MERGE_OK as u8)
-                                .writes(m(META_TBL_IDX))
-                                .writes(m(META_XSUM))
-                                .reads(Slot::Ipv4)
-                                .reads(Slot::Transport)
-                                .writes(Slot::Ipv4)
-                                .writes(Slot::Transport)
-                                .sets_invalid(Slot::Pp)
-                                .drops(),
-                        )
-                        .branch(
-                            BranchSummary::new("explicit_drop")
-                                .sets_flag(META_MERGE_OK as u8)
-                                .writes(m(META_TBL_IDX))
-                                .sets_invalid(Slot::Pp)
-                                .drops(),
-                        )
-                        .branch(BranchSummary::new("dup").drops())
-                        .branch(BranchSummary::new("premature").drops()),
-                )
-                .footprint(gateway_footprint(52, 6))
-                .build(),
-        );
-    }
-
-    // --- Stages 2..N: payload blocks against the store, same striping as
-    // the register arrays (Fig. 4).
-    for j in 0..cfg.primary_blocks {
-        let stage = primary_block_stage(&chip, j);
-        {
-            let sp = split_ports.clone();
-            let st = store.clone();
-            b.place(
-                stage,
-                Mat::builder(format!("split_store_{j}"))
-                    .gateway(move |p| p.meta[META_SPLIT_OK] == 1 && sp.contains(p.ingress_port.0))
-                    .action(move |ctx| {
-                        let slot = ctx.phv.meta[META_TBL_IDX] as usize;
-                        lock(&st).store_block(slot, j, &ctx.phv.blocks[j].data);
-                        ctx.phv.blocks[j].valid = false;
-                    })
-                    .summary(
-                        MatSummary::on_port_set((*split_ports).clone())
-                            .require(Req::MetaFlag(META_SPLIT_OK as u8))
-                            .reads(m(META_TBL_IDX))
-                            .reads(Slot::Blocks),
-                    )
-                    .footprint(gateway_footprint(44, 1))
-                    .build(),
-            );
-        }
-        {
-            let mp = merge_ports.clone();
-            let st = store.clone();
-            b.place(
-                stage,
-                Mat::builder(format!("merge_load_{j}"))
-                    .gateway(move |p| p.meta[META_MERGE_OK] == 1 && mp.contains(p.ingress_port.0))
-                    .action(move |ctx| {
-                        let slot = ctx.phv.meta[META_TBL_IDX] as usize;
-                        lock(&st).load_block(slot, j, &mut ctx.phv.blocks[j].data);
-                        ctx.phv.blocks[j].valid = true;
-                    })
-                    .summary(
-                        MatSummary::on_port_set((*merge_ports).clone())
-                            .require(Req::MetaFlag(META_MERGE_OK as u8))
-                            .reads(m(META_TBL_IDX))
-                            .writes(Slot::Blocks)
-                            .sets_valid(Slot::Blocks),
-                    )
-                    .footprint(gateway_footprint(44, 1))
-                    .build(),
-            );
-        }
-    }
-
-    let pipeline = b.build()?;
-    let handles = StoreHandles {
-        pipe: pipe_cfg.pipe,
-        total_slots: store_slots,
-        expiry,
-        store,
-        ti_reg,
-        clk_reg,
-        slices: pipe_cfg.slices.iter().map(|s| s.name.clone()).collect(),
-    };
-    Ok((pipeline, handles))
+    Ok(store_slots)
 }
 
 /// Assembles a store-backed switch for a single-pipe deployment, slices
@@ -540,14 +145,7 @@ pub fn build_store_switch(
     cfg: &ParkConfig,
     store: SharedStore,
 ) -> Result<(SwitchModel, StoreControl), BuildError> {
-    let pipe_cfg = single_pipe(cfg)?;
-    let mut bases = Vec::with_capacity(pipe_cfg.slices.len());
-    let mut base = 0u32;
-    for slice in &pipe_cfg.slices {
-        bases.push(base);
-        base += slice.slots as u32;
-    }
-    build_store_switch_with_bases(cfg, &bases, store)
+    build_store_switch_with_bases(cfg, &cumulative_bases(single_pipe(cfg)?), store)
 }
 
 /// Assembles a store-backed switch whose slices address the store at the
@@ -561,8 +159,18 @@ pub fn build_store_switch_with_bases(
     let pipe_cfg = single_pipe(cfg)?;
     cfg.validate().map_err(BuildError::Config)?;
     let chip = cfg.chip;
-    let (pipeline, handles) = build_store_primary(cfg, pipe_cfg, bases, store)?;
-    let mut primary = Some(pipeline);
+    let store_slots = check_store(cfg, pipe_cfg, bases, &store)?;
+    let built = build_pipe(cfg, pipe_cfg, bases, store_slots, |_| StorePark(store.clone()))?;
+    let handles = StoreHandles {
+        pipe: pipe_cfg.pipe,
+        total_slots: store_slots,
+        expiry: built.expiry,
+        store,
+        ti_reg: built.ti_reg,
+        clk_reg: built.clk_reg,
+        slices: pipe_cfg.slices.iter().map(|s| s.name.clone()).collect(),
+    };
+    let mut primary = Some(built.pipeline);
     let mut pipes = Vec::with_capacity(chip.pipes);
     for idx in 0..chip.pipes {
         if idx == handles.pipe {
@@ -649,5 +257,84 @@ impl StoreControl {
         let regs = switch.pipe_mut(self.handles.pipe).registers_mut();
         cell::write_u32(regs.cell_mut(self.handles.ti_reg, slice), ti);
         cell::write_u32(regs.cell_mut(self.handles.clk_reg, slice), clk);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SliceSpec;
+    use crate::flowstore::{shared, CircularStore};
+    use crate::program::build_switch;
+    use pp_rmt::chip::ChipProfile;
+
+    /// `n` slices of `slots` slots, slice `k` splitting port `2k` and
+    /// merging port `2k + 1` (the `pp_fastpath::SlicedTestbed` layout).
+    fn sliced(n: usize, slots: usize) -> ParkConfig {
+        let mut cfg = ParkConfig::single_server(ChipProfile::default(), vec![0], 1, slots);
+        cfg.pipes[0].slices = (0..n as u16)
+            .map(|k| SliceSpec {
+                name: format!("server{k}"),
+                split_ports: vec![2 * k],
+                merge_ports: vec![2 * k + 1],
+                slots,
+            })
+            .collect();
+        cfg
+    }
+
+    /// Every table of pipe 0: (stage, name, footprint + summary, bound?).
+    fn tables(switch: &SwitchModel) -> Vec<(usize, String, String, bool)> {
+        let stages = switch.pipe(0).stages().iter().enumerate();
+        stages
+            .flat_map(|(stage, s)| {
+                s.mats().iter().map(move |mat| {
+                    let body = format!("{:?} {:?}", mat.footprint(), mat.summary());
+                    (stage, mat.name().to_string(), body, mat.stateful_array().is_some())
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn register_and_store_builds_are_the_same_program() {
+        let cfg = sliced(8, 16);
+        let (register, _) = build_switch(&cfg).unwrap();
+        let store = shared(CircularStore::new(8 * 16, cfg.primary_blocks));
+        let (stored, _) = build_store_switch(&cfg, store).unwrap();
+        let (register, stored) = (tables(&register), tables(&stored));
+        assert_eq!(register.len(), 7 + 2 * cfg.primary_blocks);
+        assert_eq!(register.len(), stored.len());
+        for (r, s) in register.iter().zip(&stored) {
+            assert_eq!((r.0, &r.1, &r.2), (s.0, &s.1, &s.2));
+            let name = r.1.as_str();
+            let on_park_table = ["split_probe", "merge_validate"].contains(&name)
+                || name.starts_with("split_store_")
+                || name.starts_with("merge_load_");
+            let on_tagger = name.starts_with("tagger_");
+            assert_eq!(r.3, on_park_table || on_tagger, "{name}: register build binding");
+            assert_eq!(s.3, on_tagger, "{name}: store build binding");
+        }
+    }
+
+    #[test]
+    fn store_builds_reject_what_they_cannot_back() {
+        let cfg = sliced(2, 16);
+        let store = |slots, blocks| shared(CircularStore::new(slots, blocks));
+        let rejected = |cfg: &ParkConfig, bases: &[u32], store| match build_store_switch_with_bases(
+            cfg, bases, store,
+        ) {
+            Err(BuildError::Config(msg)) => msg,
+            Err(other) => panic!("expected a config error, got {other}"),
+            Ok(_) => panic!("expected a config error, build succeeded"),
+        };
+
+        let mut annex = ParkConfig::single_server(ChipProfile::default(), vec![0], 1, 16);
+        annex.pipes[0].annex_pipe = Some(1);
+        assert!(rejected(&annex, &[0], store(16, 10)).contains("recirculation"));
+        assert!(rejected(&cfg, &[0], store(32, 10)).contains("1 slice bases for 2 slices"));
+        assert!(rejected(&cfg, &[0, 16], store(32, 4)).contains("4 payload blocks"));
+        assert!(rejected(&cfg, &[0, 17], store(32, 10)).contains("spans slots 17..33"));
+        assert!(build_store_switch_with_bases(&cfg, &[0, 16], store(32, 10)).is_ok());
     }
 }

@@ -6,11 +6,15 @@
 //! emits toward the "server", optionally modify headers (as an NF would),
 //! and send the packets back on the merge port.
 
+use payloadpark::flowstore::shared;
 use payloadpark::program::{build_baseline_switch, build_switch};
-use payloadpark::{ParkConfig, PipeControl, SliceSpec};
+use payloadpark::{
+    build_store_switch, CircularStore, CounterSnapshot, ParkConfig, PipeControl, SlabStore,
+    SliceSpec, StoreControl,
+};
 use pp_packet::builder::{pattern, TcpPacketBuilder, UdpPacketBuilder};
 use pp_packet::parse::ParsedPacket;
-use pp_packet::ppark::{PayloadParkHeader, PpOpcode};
+use pp_packet::ppark::{PayloadParkHeader, PpOpcode, PpTag};
 use pp_packet::{MacAddr, UDP_STACK_HEADER_LEN};
 use pp_rmt::chip::ChipProfile;
 use pp_rmt::switch::{SwitchModel, SwitchOutput};
@@ -28,8 +32,84 @@ fn sink_mac() -> MacAddr {
     MacAddr::from_index(200)
 }
 
+/// The park table a testbed's program runs over. Every case that does not
+/// recirculate runs on all three: there is one Split/Merge program, and
+/// nothing a packet or the control plane can observe may depend on what
+/// backs its table.
+#[derive(Debug, Clone, Copy)]
+enum Park {
+    Registers,
+    Circular,
+    Slab,
+}
+
+/// Expands each `fn case(park: Park)` into a module of three `#[test]`s.
+macro_rules! on_every_park_table {
+    ($($case:ident)*) => {$(
+        mod $case {
+            use super::Park;
+            #[test]
+            fn registers() {
+                super::$case(Park::Registers);
+            }
+            #[test]
+            fn circular_store() {
+                super::$case(Park::Circular);
+            }
+            #[test]
+            fn slab_store() {
+                super::$case(Park::Slab);
+            }
+        }
+    )*};
+}
+
+/// The control-plane view of either kind of build.
+enum Control {
+    Registers(PipeControl),
+    Store(StoreControl),
+}
+
+impl Control {
+    fn counters(&self, switch: &SwitchModel) -> CounterSnapshot {
+        match self {
+            Control::Registers(c) => c.counters(switch),
+            Control::Store(c) => c.counters(switch),
+        }
+    }
+
+    fn occupancy(&self, switch: &SwitchModel) -> usize {
+        match self {
+            Control::Registers(c) => c.occupancy(switch),
+            Control::Store(c) => c.occupancy(),
+        }
+    }
+
+    fn clear_tables(&self, switch: &mut SwitchModel) {
+        match self {
+            Control::Registers(c) => c.clear_tables(switch),
+            Control::Store(c) => c.clear_tables(switch),
+        }
+    }
+}
+
+/// Builds `cfg` (one parked pipe) over the given park table.
+fn build(park: Park, cfg: &ParkConfig) -> (SwitchModel, Control) {
+    let (slots, blocks) = (cfg.pipes[0].total_slots(), cfg.primary_blocks);
+    let store = match park {
+        Park::Registers => {
+            let (switch, handles) = build_switch(cfg).unwrap();
+            return (switch, Control::Registers(PipeControl::new(handles[0].clone())));
+        }
+        Park::Circular => shared(CircularStore::new(slots, blocks)),
+        Park::Slab => shared(SlabStore::new(slots, blocks)),
+    };
+    let (switch, control) = build_store_switch(cfg, store).unwrap();
+    (switch, Control::Store(control))
+}
+
 /// A testbed with PayloadPark on pipe 0 and `slots` lookup-table entries.
-fn testbed(slots: usize, expiry: u16) -> (SwitchModel, PipeControl) {
+fn testbed(park: Park, slots: usize, expiry: u16) -> (SwitchModel, Control) {
     let mut cfg = ParkConfig::single_server(
         ChipProfile::default(),
         vec![GEN_PORT, GEN_PORT2],
@@ -37,10 +117,10 @@ fn testbed(slots: usize, expiry: u16) -> (SwitchModel, PipeControl) {
         slots,
     );
     cfg.expiry_threshold = expiry;
-    let (mut switch, handles) = build_switch(&cfg).unwrap();
+    let (mut switch, control) = build(park, &cfg);
     switch.l2_add(server_mac(), PortId(SERVER_PORT));
     switch.l2_add(sink_mac(), PortId(SINK_PORT));
-    (switch, PipeControl::new(handles[0].clone()))
+    (switch, control)
 }
 
 /// Same topology with recirculation through pipe 1 (384-byte parking).
@@ -76,9 +156,8 @@ fn bounce(switch: &mut SwitchModel, out: &SwitchOutput) -> Vec<SwitchOutput> {
     switch.process(&bytes, PortId(SERVER_PORT), out.seq)
 }
 
-#[test]
-fn split_trims_wire_packet_and_tags_it() {
-    let (mut switch, control) = testbed(1024, 1);
+fn split_trims_wire_packet_and_tags_it(park: Park) {
+    let (mut switch, control) = testbed(park, 1024, 1);
     let pkt = gen_packet(512, 7);
     let out = switch.process(&pkt, PortId(GEN_PORT), 1);
     assert_eq!(out.len(), 1);
@@ -99,9 +178,8 @@ fn split_trims_wire_packet_and_tags_it() {
     assert_eq!(control.occupancy(&switch), 1);
 }
 
-#[test]
-fn merge_restores_exact_payload_bytes() {
-    let (mut switch, control) = testbed(1024, 1);
+fn merge_restores_exact_payload_bytes(park: Park) {
+    let (mut switch, control) = testbed(park, 1024, 1);
     for (seed, size) in [(1u64, 202usize), (2, 512), (3, 882), (4, 1492)].into_iter() {
         let pkt = gen_packet(size, seed);
         let out = switch.process(&pkt, PortId(GEN_PORT), seed);
@@ -120,9 +198,8 @@ fn merge_restores_exact_payload_bytes() {
     assert_eq!(control.occupancy(&switch), 0);
 }
 
-#[test]
-fn small_payload_bypasses_parking_but_gets_header() {
-    let (mut switch, control) = testbed(1024, 1);
+fn small_payload_bypasses_parking_but_gets_header(park: Park) {
+    let (mut switch, control) = testbed(park, 1024, 1);
     // 160-byte minimum payload: a 201-byte packet (159 B payload) is small.
     let pkt = gen_packet(201, 9);
     let out = switch.process(&pkt, PortId(GEN_PORT), 0);
@@ -142,11 +219,10 @@ fn small_payload_bypasses_parking_but_gets_header() {
     assert_eq!(c.merges, 0);
 }
 
-#[test]
-fn nf_header_modifications_survive_merge() {
+fn nf_header_modifications_survive_merge(park: Park) {
     // A NAT-like NF rewrites addresses/ports; Merge must still find the
     // payload (the tag, not the 5-tuple, locates it — §3.3 packet tagger).
-    let (mut switch, control) = testbed(1024, 1);
+    let (mut switch, control) = testbed(park, 1024, 1);
     let pkt = gen_packet(800, 42);
     let out = switch.process(&pkt, PortId(GEN_PORT), 0);
 
@@ -170,11 +246,10 @@ fn nf_header_modifications_survive_merge() {
     assert!(control.counters(&switch).functionally_equivalent());
 }
 
-#[test]
-fn table_exhaustion_falls_back_to_baseline_mode() {
+fn table_exhaustion_falls_back_to_baseline_mode(park: Park) {
     // 4 slots, expiry 10: the fifth packet in flight finds its slot
     // occupied (EXP aged 10→9, still > 0) and is forwarded whole.
-    let (mut switch, control) = testbed(4, 10);
+    let (mut switch, control) = testbed(park, 4, 10);
     let mut outs = Vec::new();
     for i in 0..5u64 {
         let pkt = gen_packet(512, i);
@@ -194,12 +269,11 @@ fn table_exhaustion_falls_back_to_baseline_mode() {
     assert!(control.counters(&switch).functionally_equivalent());
 }
 
-#[test]
-fn eviction_reclaims_and_premature_merge_drops() {
+fn eviction_reclaims_and_premature_merge_drops(park: Park) {
     // One slot, expiry 1: the second split evicts the first payload; when
     // the first header finally returns, its generation mismatches and the
     // packet is dropped — the premature-eviction path of §3.3.
-    let (mut switch, control) = testbed(1, 1);
+    let (mut switch, control) = testbed(park, 1, 1);
     let p0 = switch.process(&gen_packet(512, 0), PortId(GEN_PORT), 0);
     let p1 = switch.process(&gen_packet(512, 1), PortId(GEN_PORT), 1);
     let c = control.counters(&switch);
@@ -219,9 +293,8 @@ fn eviction_reclaims_and_premature_merge_drops() {
     assert_eq!(control.counters(&switch).merges, 1);
 }
 
-#[test]
-fn explicit_drop_reclaims_without_emitting() {
-    let (mut switch, control) = testbed(8, 1);
+fn explicit_drop_reclaims_without_emitting(park: Park) {
+    let (mut switch, control) = testbed(park, 8, 1);
     let out = switch.process(&gen_packet(512, 5), PortId(GEN_PORT), 0);
     assert_eq!(control.occupancy(&switch), 1);
 
@@ -244,9 +317,8 @@ fn explicit_drop_reclaims_without_emitting() {
     assert!(c.functionally_equivalent());
 }
 
-#[test]
-fn corrupted_tag_is_rejected_by_crc() {
-    let (mut switch, control) = testbed(8, 1);
+fn corrupted_tag_is_rejected_by_crc(park: Park) {
+    let (mut switch, control) = testbed(park, 8, 1);
     let out = switch.process(&gen_packet(512, 5), PortId(GEN_PORT), 0);
     let mut evil = out[0].bytes.clone();
     evil[0..6].copy_from_slice(&sink_mac().0);
@@ -262,9 +334,30 @@ fn corrupted_tag_is_rejected_by_crc() {
     assert_eq!(control.occupancy(&switch), 1);
 }
 
-#[test]
-fn non_transport_traffic_passes_through_untouched() {
-    let (mut switch, control) = testbed(8, 1);
+/// A tag can pass its CRC and still point outside the table (forged, or
+/// issued by a larger deployment). Merge must treat it like a corrupted
+/// tag: count it, drop the packet, and never index the table with it.
+fn out_of_range_tag_with_valid_crc_is_rejected(park: Park) {
+    let (mut switch, control) = testbed(park, 8, 1);
+    let out = switch.process(&gen_packet(512, 5), PortId(GEN_PORT), 0);
+    let mut evil = out[0].bytes.clone();
+    evil[0..6].copy_from_slice(&sink_mac().0);
+    let pp_start = ParsedPacket::parse(&evil).unwrap().offsets().payload;
+    let mut pp = PayloadParkHeader::new_checked(&mut evil[pp_start..]).unwrap();
+    let generation = pp.verify_tag().unwrap().generation;
+    pp.write_enabled(PpOpcode::Merge, PpTag { table_index: 8, generation });
+    pp.verify_tag().expect("the forged tag carries a valid CRC");
+
+    let back = switch.process(&evil, PortId(SERVER_PORT), 0);
+    assert!(back.is_empty());
+    let c = control.counters(&switch);
+    assert_eq!(c.crc_fail, 1);
+    assert_eq!(c.merges, 0);
+    assert_eq!(control.occupancy(&switch), 1, "the parked slot is untouched");
+}
+
+fn non_transport_traffic_passes_through_untouched(park: Park) {
+    let (mut switch, control) = testbed(park, 8, 1);
     let mut gre_pkt = gen_packet(512, 3);
     gre_pkt[23] = 47; // protocol = GRE: neither UDP nor TCP
     {
@@ -276,13 +369,12 @@ fn non_transport_traffic_passes_through_untouched() {
     assert_eq!(control.counters(&switch).splits, 0);
 }
 
-#[test]
-fn tcp_split_merge_is_identity_with_valid_checksums() {
+fn tcp_split_merge_is_identity_with_valid_checksums(park: Park) {
     // TCP is a first-class parked workload: a 512-byte segment parks 160
     // payload bytes (only the IPv4 total-length moves — TCP has no length
     // field), the parked leg carries a zeroed transport checksum, and
     // Merge restores the original byte-for-byte.
-    let (mut switch, control) = testbed(64, 1);
+    let (mut switch, control) = testbed(park, 64, 1);
     let pkt = TcpPacketBuilder::new()
         .dst_mac(server_mac())
         .src_mac(MacAddr::from_index(1))
@@ -317,10 +409,9 @@ fn tcp_split_merge_is_identity_with_valid_checksums() {
 /// sees a zero transport checksum on the parked leg and leaves it alone
 /// (RFC 768); Merge must repair the restored checksum for the rewritten
 /// header, so the sink still receives a fully valid packet.
-#[test]
-fn merge_repairs_checksum_after_nat_style_rewrite() {
+fn merge_repairs_checksum_after_nat_style_rewrite(park: Park) {
     for tcp in [false, true] {
-        let (mut switch, control) = testbed(64, 1);
+        let (mut switch, control) = testbed(park, 64, 1);
         let pkt = if tcp {
             TcpPacketBuilder::new()
                 .dst_mac(server_mac())
@@ -360,9 +451,8 @@ fn merge_repairs_checksum_after_nat_style_rewrite() {
     }
 }
 
-#[test]
-fn udp_parked_leg_checksum_is_zeroed_and_restored() {
-    let (mut switch, control) = testbed(64, 1);
+fn udp_parked_leg_checksum_is_zeroed_and_restored(park: Park) {
+    let (mut switch, control) = testbed(park, 64, 1);
     let pkt = gen_packet(512, 11);
     let original_ck = pkt[40..42].to_vec();
     assert_ne!(original_ck, [0, 0]);
@@ -377,9 +467,8 @@ fn udp_parked_leg_checksum_is_zeroed_and_restored() {
     assert!(control.counters(&switch).functionally_equivalent());
 }
 
-#[test]
-fn both_generator_ports_split_into_the_same_slice() {
-    let (mut switch, control) = testbed(1024, 1);
+fn both_generator_ports_split_into_the_same_slice(park: Park) {
+    let (mut switch, control) = testbed(park, 1024, 1);
     let a = switch.process(&gen_packet(512, 1), PortId(GEN_PORT), 0);
     let b = switch.process(&gen_packet(512, 2), PortId(GEN_PORT2), 1);
     assert_eq!(control.counters(&switch).splits, 2);
@@ -391,9 +480,8 @@ fn both_generator_ports_split_into_the_same_slice() {
     assert_eq!(control.occupancy(&switch), 0);
 }
 
-#[test]
-fn tags_are_unique_across_consecutive_packets() {
-    let (mut switch, _) = testbed(4096, 1);
+fn tags_are_unique_across_consecutive_packets(park: Park) {
+    let (mut switch, _) = testbed(park, 4096, 1);
     let mut tags = std::collections::HashSet::new();
     for i in 0..1000u64 {
         let out = switch.process(&gen_packet(512, i), PortId(GEN_PORT), i);
@@ -468,8 +556,7 @@ fn baseline_switch_is_byte_transparent() {
     }
 }
 
-#[test]
-fn multi_slice_isolation() {
+fn multi_slice_isolation(park: Park) {
     // Two servers share pipe 0 with static slices; filling one slice must
     // not consume the other's slots (§6.2.3 performance isolation).
     let chip = ChipProfile::default();
@@ -480,8 +567,7 @@ fn multi_slice_isolation() {
         merge_ports: vec![5],
         slots: 4,
     });
-    let (mut switch, handles) = build_switch(&cfg).unwrap();
-    let control = PipeControl::new(handles[0].clone());
+    let (mut switch, control) = build(park, &cfg);
     let mac_a = MacAddr::from_index(100);
     let mac_b = MacAddr::from_index(101);
     switch.l2_add(mac_a, PortId(2));
@@ -529,9 +615,8 @@ fn resource_report_has_sensible_shape() {
     assert!(rendered.contains("SRAM"));
 }
 
-#[test]
-fn clear_tables_resets_occupancy() {
-    let (mut switch, control) = testbed(64, 1);
+fn clear_tables_resets_occupancy(park: Park) {
+    let (mut switch, control) = testbed(park, 64, 1);
     for i in 0..10u64 {
         switch.process(&gen_packet(512, i), PortId(GEN_PORT), i);
     }
@@ -546,7 +631,9 @@ fn adaptive_policy_tunes_the_live_threshold() {
 
     // One slot, aggressive expiry: the second split evicts the first
     // payload and its merge comes back premature.
-    let (mut switch, control) = testbed(1, 1);
+    let (mut switch, Control::Registers(control)) = testbed(Park::Registers, 1, 1) else {
+        unreachable!("register testbed");
+    };
     let mut policy = control.adaptive_policy(AdaptiveConfig::default());
     assert_eq!(policy.current(), 1);
 
@@ -572,4 +659,24 @@ fn adaptive_policy_tunes_the_live_threshold() {
     // Quiet traffic leaves the threshold alone.
     assert_eq!(policy.observe(control.counters(&switch)), 2);
     assert_eq!(policy.adjustments(), 1);
+}
+
+on_every_park_table! {
+    split_trims_wire_packet_and_tags_it
+    merge_restores_exact_payload_bytes
+    small_payload_bypasses_parking_but_gets_header
+    nf_header_modifications_survive_merge
+    table_exhaustion_falls_back_to_baseline_mode
+    eviction_reclaims_and_premature_merge_drops
+    explicit_drop_reclaims_without_emitting
+    corrupted_tag_is_rejected_by_crc
+    out_of_range_tag_with_valid_crc_is_rejected
+    non_transport_traffic_passes_through_untouched
+    tcp_split_merge_is_identity_with_valid_checksums
+    merge_repairs_checksum_after_nat_style_rewrite
+    udp_parked_leg_checksum_is_zeroed_and_restored
+    both_generator_ports_split_into_the_same_slice
+    tags_are_unique_across_consecutive_packets
+    multi_slice_isolation
+    clear_tables_resets_occupancy
 }

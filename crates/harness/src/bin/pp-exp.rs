@@ -3,8 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! pp-exp <experiment> [--quick] [--out FILE] [--baseline FILE] [--tolerance T]
-//!        [--telemetry FILE]
+//! pp-exp <experiment> [--quick] [--out FILE] [--tolerance T] [--telemetry FILE]
 //!
 //! experiments: fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 fig14
 //!              fig15 fig16 table1 headline mixed throughput adversity
@@ -26,18 +25,15 @@
 //! profiling — vs with it switched off; exits 1 when the slowdown exceeds
 //! `--tolerance`, default 3 %).
 //!
-//! For `throughput`, `--out FILE` also writes the JSON series to `FILE`
-//! (the committed `BENCH_fastpath.json` trajectory snapshot), and
-//! `--baseline FILE` compares the fresh run against a committed snapshot,
-//! exiting 1 when any worker width lost more than `--tolerance` (default
-//! 0.15) of its packets/sec.
+//! For `throughput` and `cluster`, `--out FILE` also writes the JSON
+//! series to `FILE`. Neither is a performance gate: the repository's
+//! benchmark is `pp-bench` (see `pp-bench/BENCHMARK.md`).
 //!
 //! `cluster` sweeps the distributed parking tier: round-trip goodput at
-//! 1/2/4 switches (JSON rows at `x = 100 + N`, gated against the same
-//! `BENCH_fastpath.json` trajectory via `--baseline`) plus the
-//! one-switch-blackout drill, asserted oracle-clean with the survivors
-//! serving. Its `--telemetry FILE` snapshot carries per-switch labelled
-//! dataplane families and the `pp_cluster_*` aggregates.
+//! 1/2/4 switches plus the one-switch-blackout drill, asserted
+//! oracle-clean with the survivors serving. Its `--telemetry FILE`
+//! snapshot carries per-switch labelled dataplane families and the
+//! `pp_cluster_*` aggregates.
 //!
 //! `--telemetry FILE` (on `throughput`, `mixed`, `adversity` and
 //! `cluster`) writes a
@@ -46,7 +42,6 @@
 //! occupancy, fault tally, and (for `throughput`) per-shard ring
 //! high-water marks.
 
-use pp_harness::bench_gate::{compare_throughput, DEFAULT_TOLERANCE};
 use pp_harness::cli;
 use pp_harness::experiments::{
     adversity_report, adversity_sweep, cluster_blackout, cluster_goodput, cluster_telemetry,
@@ -55,7 +50,7 @@ use pp_harness::experiments::{
     throughput_telemetry, Effort,
 };
 use pp_harness::telemetry::{registry_from_report, write_prom};
-use pp_metrics::{MetricsRegistry, Series};
+use pp_metrics::MetricsRegistry;
 
 /// Default `overhead` gate: telemetry may cost at most 3 % of scalar pps.
 const DEFAULT_OVERHEAD_TOLERANCE: f64 = 0.03;
@@ -133,7 +128,7 @@ fn main() {
         println!("{}", table1());
     }
     if want("throughput") {
-        // Machine-readable: this subcommand feeds the bench trajectory.
+        // Machine-readable JSON series.
         let series = emulator_throughput(effort);
         let json = series.render_json();
         println!("{json}");
@@ -145,34 +140,6 @@ fn main() {
         }
         if let Some(path) = &cli.telemetry {
             write_telemetry(path, &throughput_telemetry(effort));
-        }
-        if let Some(path) = &cli.baseline {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            });
-            let baseline = Series::parse_json(&text).unwrap_or_else(|| {
-                eprintln!("baseline {path} is not a valid series JSON");
-                std::process::exit(1);
-            });
-            let tolerance = cli.tolerance.unwrap_or(DEFAULT_TOLERANCE);
-            match compare_throughput(&series, &baseline, tolerance) {
-                Ok(report) => {
-                    for line in &report.lines {
-                        eprintln!("{line}");
-                    }
-                    if !report.passed() {
-                        for failure in &report.failures {
-                            eprintln!("throughput regression: {failure}");
-                        }
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("baseline comparison failed: {e}");
-                    std::process::exit(1);
-                }
-            }
         }
     }
     if want("adversity") {
@@ -186,8 +153,7 @@ fn main() {
         }
     }
     if want("cluster") {
-        // Machine-readable like `throughput`: the goodput rows (x =
-        // 100 + N) feed the same trajectory file and regression gate.
+        // Machine-readable like `throughput`.
         let series = cluster_goodput(effort);
         let json = series.render_json();
         println!("{json}");
@@ -200,34 +166,6 @@ fn main() {
         }
         if let Some(path) = &cli.telemetry {
             write_telemetry(path, &cluster_telemetry(effort));
-        }
-        if let Some(path) = &cli.baseline {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            });
-            let baseline = Series::parse_json(&text).unwrap_or_else(|| {
-                eprintln!("baseline {path} is not a valid series JSON");
-                std::process::exit(1);
-            });
-            let tolerance = cli.tolerance.unwrap_or(DEFAULT_TOLERANCE);
-            match compare_throughput(&series, &baseline, tolerance) {
-                Ok(report) => {
-                    for line in &report.lines {
-                        eprintln!("{line}");
-                    }
-                    if !report.passed() {
-                        for failure in &report.failures {
-                            eprintln!("cluster throughput regression: {failure}");
-                        }
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("baseline comparison failed: {e}");
-                    std::process::exit(1);
-                }
-            }
         }
     }
     if want("overhead") {

@@ -38,9 +38,7 @@ pub struct Cli {
     pub quick: bool,
     /// `--out FILE`: write the JSON series to `FILE`.
     pub out: Option<String>,
-    /// `--baseline FILE`: compare against a committed snapshot.
-    pub baseline: Option<String>,
-    /// `--tolerance T`: regression / overhead tolerance (per-experiment default).
+    /// `--tolerance T`: the `overhead` gate's tolerance.
     pub tolerance: Option<f64>,
     /// `--telemetry FILE`: write Prometheus exposition text to `FILE`.
     pub telemetry: Option<String>,
@@ -49,8 +47,7 @@ pub struct Cli {
 /// The usage string printed alongside any parse error (exit code 2).
 pub fn usage() -> String {
     format!(
-        "usage: pp-exp <{}> [--quick] [--out FILE] [--baseline FILE] [--tolerance T] \
-         [--telemetry FILE]",
+        "usage: pp-exp <{}> [--quick] [--out FILE] [--tolerance T] [--telemetry FILE]",
         EXPERIMENTS.join("|")
     )
 }
@@ -64,7 +61,7 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
         let arg = args[i].as_ref();
         match arg {
             "--quick" => cli.quick = true,
-            "--out" | "--baseline" | "--tolerance" | "--telemetry" => {
+            "--out" | "--tolerance" | "--telemetry" => {
                 let value = args
                     .get(i + 1)
                     .map(|s| s.as_ref().to_string())
@@ -72,7 +69,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
                 i += 1;
                 match arg {
                     "--out" => cli.out = Some(value),
-                    "--baseline" => cli.baseline = Some(value),
                     "--telemetry" => cli.telemetry = Some(value),
                     _ => {
                         let t = value
@@ -115,8 +111,6 @@ mod tests {
             "--quick",
             "--out",
             "series.json",
-            "--baseline",
-            "BENCH_fastpath.json",
             "--tolerance",
             "0.2",
             "--telemetry",
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(cli.which, "throughput");
         assert!(cli.quick);
         assert_eq!(cli.out.as_deref(), Some("series.json"));
-        assert_eq!(cli.baseline.as_deref(), Some("BENCH_fastpath.json"));
         assert_eq!(cli.tolerance, Some(0.2));
         assert_eq!(cli.telemetry.as_deref(), Some("run.prom"));
     }
@@ -146,11 +139,14 @@ mod tests {
         // typoed --quick ran the full-effort sweep.
         let err = parse(&["mixed", "--telemetri", "x.prom"]).unwrap_err();
         assert!(err.contains("--telemetri"), "{err}");
+        // The retired bench gate's flag is gone, not ignored.
+        let err = parse(&["throughput", "--baseline", "old.json"]).unwrap_err();
+        assert!(err.contains("--baseline"), "{err}");
     }
 
     #[test]
     fn missing_flag_value_is_rejected() {
-        for flag in ["--out", "--baseline", "--tolerance", "--telemetry"] {
+        for flag in ["--out", "--tolerance", "--telemetry"] {
             let err = parse(&["throughput", flag]).unwrap_err();
             assert!(err.contains("requires a value"), "{flag}: {err}");
         }

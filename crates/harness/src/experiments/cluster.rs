@@ -32,11 +32,6 @@ const SLICES: usize = 8;
 /// targets and the conformance tests share.)
 const SLOTS: usize = 512;
 
-/// `x` offset distinguishing cluster rows from worker rows when both
-/// land in the same trajectory file (`BENCH_fastpath.json`): a cluster
-/// of N switches is row `100 + N`.
-pub const CLUSTER_ROW_BASE: f64 = 100.0;
-
 fn testbed() -> SlicedTestbed {
     SlicedTestbed::new(SLICES, SLOTS)
 }
@@ -86,14 +81,13 @@ fn run_once(
 }
 
 /// The goodput sweep: packets/sec of the cluster round trip at 1, 2 and
-/// 4 switches. Row `x = 100 + N`; the `pps` column feeds the same
-/// `compare_throughput` gate as the emulator-throughput sweep.
+/// 4 switches, one row per switch count.
 pub fn cluster_goodput(effort: Effort) -> Series {
     let tb = testbed();
     let inputs = workload(effort);
     let mut series = Series::new(
         "Cluster tier: Split -> NF -> Merge goodput vs switch count (slab store)",
-        "cluster_row",
+        "switches",
         vec!["pps".into(), "parked".into(), "merged".into()],
     );
     // Wall-clock throughput on a shared host is noisy: take the best of
@@ -113,7 +107,7 @@ pub fn cluster_goodput(effort: Effort) -> Series {
         }
         assert!(parked > 0, "cluster of {switches} parked nothing");
         assert_eq!(parked, merged, "a calm run restores every parked flow");
-        series.push(CLUSTER_ROW_BASE + switches as f64, vec![pps, parked as f64, merged as f64]);
+        series.push(switches as f64, vec![pps, parked as f64, merged as f64]);
     }
     series
 }
@@ -201,8 +195,8 @@ mod tests {
         assert_eq!(s.points().len(), 3);
         let pps = s.column("pps").unwrap();
         assert!(pps.iter().all(|&p| p > 0.0), "{pps:?}");
-        assert_eq!(s.points()[0].x, 101.0);
-        assert_eq!(s.points()[2].x, 104.0);
+        assert_eq!(s.points()[0].x, 1.0);
+        assert_eq!(s.points()[2].x, 4.0);
     }
 
     #[test]

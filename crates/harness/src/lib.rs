@@ -15,7 +15,6 @@
 //! evaluation; each returns a [`pp_metrics::Series`] whose rendered table is
 //! this repository's equivalent of the figure.
 
-pub mod bench_gate;
 pub mod cli;
 pub mod experiments;
 pub mod fuzz;

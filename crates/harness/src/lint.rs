@@ -15,7 +15,10 @@ use payloadpark::shard::ShardPlan;
 use payloadpark::{ParkConfig, PipePark, SliceSpec};
 use pp_cluster::ClusterPlan;
 use pp_rmt::ChipProfile;
-use pp_verify::{check_cluster_plan, check_deployment, check_shard_plan, Report, Severity};
+use pp_verify::{
+    check_cluster_plan, check_deployment, check_shard_plan, check_store_deployment, Report,
+    Severity,
+};
 
 use crate::testbed::{GEN_PORTS, SERVER_PORT};
 
@@ -109,11 +112,13 @@ fn cluster_reports(switches: usize) -> Vec<Report> {
                 format!("cluster plan ({switches} switches)"),
                 check_cluster_plan(&parent, &plan),
             ));
+            // Each member is verified as the cluster builds it: the
+            // store-backed program at the plan's global slice bases.
             for &id in plan.switches() {
                 let cfg = plan.config(id).expect("plan switches own slices");
-                for r in check_deployment(cfg) {
-                    reports.push(Report::new(format!("switch{id} {}", r.program), r.diagnostics));
-                }
+                let bases = plan.bases(id).expect("config implies bases");
+                let r = check_store_deployment(cfg, bases, plan.total_slots());
+                reports.push(Report::new(format!("switch{id} {}", r.program), r.diagnostics));
             }
         }
         Err(e) => reports.push(Report::new(
@@ -282,12 +287,12 @@ mod tests {
     fn cluster_targets_cover_every_switch() {
         for (target, n) in [("cluster-2", 2usize), ("cluster-4", 4)] {
             let reports = lint_target(target).unwrap();
-            // One plan report plus at least one deployment report per
-            // serving switch — every switch's program gets verified.
+            // One plan report plus one report per serving switch, each from
+            // the store-backed build the cluster actually runs.
             assert!(reports.len() > n, "{target}: {} reports", reports.len());
             for id in 0..n as u32 {
                 assert!(
-                    reports.iter().any(|r| r.program.starts_with(&format!("switch{id} "))),
+                    reports.iter().any(|r| r.program == format!("switch{id} store pipe 0")),
                     "{target}: switch{id} unverified"
                 );
             }

@@ -354,9 +354,7 @@ impl FaultPlan {
 /// corruption avoids it unless `corrupt_shim` is configured; unparseable
 /// packets are fully protected (nothing sensible to corrupt). The same
 /// span is protected on baseline legs (which carry no shim) so that a
-/// given scenario seed flips the same bytes in both deployments. The
-/// probabilistic sibling is [`crate::fault::shim_span`], which protects
-/// only a CRC-validated shim.
+/// given scenario seed flips the same bytes in both deployments.
 pub fn internal_leg_protected_prefix(bytes: &[u8]) -> usize {
     match ParsedPacket::parse(bytes) {
         Ok(parsed) => (parsed.offsets().payload + PAYLOADPARK_HEADER_LEN).min(bytes.len()),

@@ -13,8 +13,6 @@
 //!   paper's PCIe-bandwidth measurements (§6.1, Fig. 9);
 //! * [`rng`] — seeded RNG streams so every run is a pure function of
 //!   (config, seed);
-//! * [`fault`] — probabilistic drop/corrupt injection (in the spirit of the
-//!   smoltcp examples' `--drop-chance`/`--corrupt-chance` options);
 //! * [`adversity`] — the deterministic adversity engine: seeded, replayable
 //!   loss/reorder/duplication/truncation/blackout scenarios whose per-packet
 //!   decisions are pure functions of `(seed, leg, seq)`, so every execution
@@ -27,7 +25,6 @@
 
 pub mod adversity;
 pub mod event;
-pub mod fault;
 pub mod link;
 pub mod pcie;
 pub mod queue;
@@ -40,7 +37,6 @@ pub use adversity::{
     SeqWindow,
 };
 pub use event::EventQueue;
-pub use fault::FaultInjector;
 pub use link::Link;
 pub use pcie::PcieBus;
 pub use queue::DropTailQueue;

@@ -1,8 +1,9 @@
 //! Deployment-level drivers: verify every pipe of a [`ParkConfig`],
 //! bridging recirculation metadata facts from primary to annex pipes.
 
+use payloadpark::flowstore::shared;
 use payloadpark::program::build_switch;
-use payloadpark::ParkConfig;
+use payloadpark::{build_store_switch_with_bases, BuildError, ParkConfig, SlabStore};
 
 use crate::dataflow;
 use crate::diag::{Code, Diagnostic, Report};
@@ -21,12 +22,7 @@ use crate::locality;
 pub fn check_deployment(cfg: &ParkConfig) -> Vec<Report> {
     let switch = match build_switch(cfg) {
         Ok((switch, _handles)) => switch,
-        Err(e) => {
-            return vec![Report::new(
-                "deployment",
-                vec![Diagnostic::new(Code::PV002, None, e.to_string())],
-            )];
-        }
+        Err(e) => return vec![build_failure(&e)],
     };
 
     let mut reports = Vec::new();
@@ -68,4 +64,26 @@ pub fn check_deployment(cfg: &ParkConfig) -> Vec<Report> {
     }
     reports.sort_by(|a, b| a.program.cmp(&b.program));
     reports
+}
+
+/// Verifies one store-backed switch exactly as the cluster tier builds
+/// it: the Split/Merge program over a [`payloadpark::FlowStore`] of
+/// `store_slots` slots with `cfg`'s slices at `bases`
+/// ([`build_store_switch_with_bases`]), passes 1–3 plus dead-metadata
+/// analysis on the parked pipe. Which store implementation backs the
+/// table does not change the program, so an empty sparse one stands in.
+pub fn check_store_deployment(cfg: &ParkConfig, bases: &[u32], store_slots: usize) -> Report {
+    let store = shared(SlabStore::new(store_slots, cfg.primary_blocks));
+    match build_store_switch_with_bases(cfg, bases, store) {
+        Ok((switch, control)) => {
+            let pipe = control.handles().pipe;
+            let pipeline = switch.pipe(pipe);
+            Report::new(format!("store pipe {pipe}"), crate::check(pipeline, pipeline.parser()))
+        }
+        Err(e) => build_failure(&e),
+    }
+}
+
+fn build_failure(e: &BuildError) -> Report {
+    Report::new("deployment", vec![Diagnostic::new(Code::PV002, None, e.to_string())])
 }

@@ -30,7 +30,8 @@
 //!
 //! Entry points: [`check`] for one built pipeline (the ISSUE-stable API),
 //! [`check_deployment`] for a whole [`payloadpark::ParkConfig`] including
-//! annex-pipe recirculation bridging, [`check_shard_plan`] for pass 4,
+//! annex-pipe recirculation bridging, [`check_store_deployment`] for a
+//! cluster member's store-backed build, [`check_shard_plan`] for pass 4,
 //! [`check_cluster_plan`] for pass 5, and
 //! [`check_ir`] for a hand-built [`ProgramIr`] (negative tests). The
 //! `pp-lint` binary in `pp_harness` runs all of them over every built-in
@@ -47,7 +48,7 @@ pub mod shard;
 use pp_rmt::{ParserConfig, Pipeline};
 
 pub use cluster::{check_cluster, check_cluster_plan, ClusterIr, SwitchIr};
-pub use deploy::check_deployment;
+pub use deploy::{check_deployment, check_store_deployment};
 pub use diag::{Code, Diagnostic, Report, Severity};
 pub use ir::{MatIr, ParserIr, PortFacts, ProgramIr, RegIr};
 pub use shard::{check_shard_plan, check_shards, ShardIr, SliceClaim, WorkerIr};
