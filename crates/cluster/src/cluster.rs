@@ -47,7 +47,7 @@ use pp_netsim::adversity::{AdversityProfile, FaultTally, SeqWindow};
 use pp_netsim::link::Link;
 use pp_netsim::time::{Bandwidth, SimDuration, SimTime};
 use pp_packet::MacAddr;
-use pp_rmt::switch::{BatchPacket, SwitchModel, SwitchOutput, SwitchStats};
+use pp_rmt::switch::{BatchOutput, BatchPacket, SwitchModel, SwitchOutput, SwitchStats};
 use pp_rmt::PortId;
 use std::collections::BTreeMap;
 
@@ -61,7 +61,7 @@ pub enum StoreKind {
     /// occupancy, scaling the same semantics to millions of flows.
     Slab,
     /// Slab with a spill tier: at most `hot_capacity` payloads stay in
-    /// hot slab memory, older parked payloads demote to the spill map
+    /// hot slab memory, older parked payloads demote to the spill slab
     /// and promote back transparently on re-park or restore.
     SlabSpill {
         /// Hot-tier payload capacity per switch.
@@ -161,6 +161,9 @@ pub struct Cluster {
     /// Per-thousand of merge arrivals diverted to a pseudo-random live
     /// switch instead of their cable attachment (models stale routing).
     proxy_spray_permille: u16,
+    /// Where every switch deparses, one packet at a time: the wave loops
+    /// copy each egress out of it once, into the `Vec` they return.
+    scratch: BatchOutput,
 }
 
 impl Cluster {
@@ -182,6 +185,7 @@ impl Cluster {
             now: SimTime(0),
             next_id: cfg.switches as u32,
             proxy_spray_permille: 0,
+            scratch: BatchOutput::new(),
         };
         for &id in plan.switches() {
             let node = cluster.build_node(&plan, id, cluster.make_store(), Default::default())?;
@@ -310,7 +314,7 @@ impl Cluster {
     /// blacked-out switch are dropped at ingress; packets on ports no
     /// switch owns are dropped silently (no route exists anywhere).
     pub fn process_wave(&mut self, inputs: &[BatchPacket]) -> Vec<BatchPacket> {
-        let mut outs = Vec::new();
+        let mut outs = Vec::with_capacity(inputs.len());
         for pkt in inputs {
             let Some(owner) = self.plan.switch_of_port(pkt.port.0) else {
                 continue;
@@ -322,12 +326,9 @@ impl Cluster {
                 self.counters.blackout_drops += 1;
                 continue;
             }
-            outs.extend(
-                node.switch
-                    .process(&pkt.bytes, pkt.port, pkt.seq)
-                    .into_iter()
-                    .map(BatchPacket::from),
-            );
+            self.scratch.clear();
+            node.switch.process_into(&pkt.bytes, pkt.port, pkt.seq, &mut self.scratch);
+            outs.extend(self.scratch.iter().map(|o| BatchPacket::from(o.to_owned())));
         }
         outs
     }
@@ -337,7 +338,7 @@ impl Cluster {
     /// cabled to; if that switch no longer owns the slice, the packet is
     /// proxy-forwarded to the owner over the inter-switch link.
     pub fn process_return_wave(&mut self, wave: Vec<BatchPacket>) -> Vec<SwitchOutput> {
-        let mut merged = Vec::new();
+        let mut merged = Vec::with_capacity(wave.len());
         for pkt in wave {
             let Some(owner) = self.plan.switch_of_port(pkt.port.0) else {
                 continue;
@@ -352,7 +353,9 @@ impl Cluster {
                 continue;
             }
             let node = self.nodes.get_mut(&owner).expect("owner checked in proxy_forward");
-            merged.extend(node.switch.process(&pkt.bytes, pkt.port, pkt.seq));
+            self.scratch.clear();
+            node.switch.process_into(&pkt.bytes, pkt.port, pkt.seq, &mut self.scratch);
+            merged.extend(self.scratch.iter().map(|o| o.to_owned()));
         }
         merged
     }
@@ -366,8 +369,8 @@ impl Cluster {
         }
         let roll = splitmix64(self.cfg.seed ^ splitmix64(seq).rotate_left(17));
         if roll % 1000 < u64::from(self.proxy_spray_permille) {
-            let ids: Vec<u32> = self.nodes.keys().copied().collect();
-            ids[(splitmix64(roll) % ids.len() as u64) as usize]
+            let nth = (splitmix64(roll) % self.nodes.len() as u64) as usize;
+            *self.nodes.keys().nth(nth).expect("nth < len")
         } else {
             via
         }

@@ -13,16 +13,23 @@
 //! * [`CircularStore`] — the register file's dense layout verbatim: a
 //!   flat metadata array plus a payload arena, full capacity allocated up
 //!   front.
-//! * [`SlabStore`] — a sparse map of occupied slots over a
-//!   generational-index slab ([`Slab`]/[`SlabHandle`]) for payload
-//!   storage: memory is proportional to *occupancy*, not capacity, so a
-//!   logical table of millions of slots costs nothing until flows park.
-//!   Park, restore and evict are all O(1); freed payload handles bump a
-//!   generation so a stale handle can never read a re-used arena entry —
-//!   the in-memory analogue of the wire tag's `(idx, clk, crc)`
-//!   validation. An optional spill tier demotes the oldest parked
-//!   payloads out of the bounded hot slab (modeling off-ASIC memory for
-//!   long-parked flows) and restores them transparently.
+//! * [`SlabStore`] — the same table, sparse. The slot index is a page
+//!   table (a directory of 64-slot pages, a page allocated on first
+//!   touch), payloads live in two generational arenas — the hot slab and
+//!   an optional spill slab, each one contiguous buffer of fixed strides
+//!   with a free list — and every slot counts its non-zero payload
+//!   blocks, so "drained" is a comparison, not a scan. A lookup is two
+//!   indexed loads; park, restore, evict, demote and promote are O(1) and
+//!   hash nothing. Memory is proportional to *occupancy*, not capacity:
+//!   to the high-water mark of touched pages and of live payloads (pages
+//!   and arena entries are kept for reuse until [`FlowStore::clear`], so
+//!   a warm store never calls the allocator), with nothing proportional
+//!   to `slots()` beyond the directory's 8 bytes per page. Freed payload
+//!   handles bump a generation so a stale handle can never read a re-used
+//!   arena entry — the in-memory analogue of the wire tag's
+//!   `(idx, clk, crc)` validation. The spill tier demotes the oldest
+//!   parked payloads out of the bounded hot slab (modeling off-ASIC
+//!   memory for long-parked flows) and restores them transparently.
 //!
 //! The slot state machine exists once: Alg. 1's aging/occupy rules are
 //! `probe_meta` and Alg. 2's reclaim/duplicate/premature classification
@@ -35,7 +42,6 @@
 //! `tests/flowstore_matrix.rs` checks the stores against the register
 //! file over the full adversity matrix.
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -383,90 +389,97 @@ impl FlowStore for CircularStore {
 /// allocated under. A freed-and-reused entry bumps its generation, so a
 /// stale handle dereferences to `None` instead of another flow's payload
 /// — the same protection the wire tag's `(idx, clk)` check gives merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlabHandle {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SlabHandle {
     index: u32,
     generation: u32,
 }
 
+/// A generational arena of fixed-size payload buffers in one contiguous
+/// allocation (`entry_bytes` strides): O(1) alloc/free via a free list,
+/// stale handles rejected by generation. It grows to its high-water mark
+/// and stays there, so a warm slab never touches the heap.
 #[derive(Debug)]
-struct SlabEntry {
-    generation: u32,
-    live: bool,
-    data: Vec<u8>,
-}
-
-/// A generational arena of fixed-size payload buffers: O(1) alloc/free
-/// via a free list, stale handles rejected by generation.
-#[derive(Debug)]
-pub struct Slab {
+struct Slab {
     entry_bytes: usize,
-    entries: Vec<SlabEntry>,
+    data: Vec<u8>,
+    /// Per entry, the generation its next (or current) handle carries.
+    /// Freeing bumps it, so a freed entry matches no handle ever issued.
+    generation: Vec<u32>,
     free: Vec<u32>,
 }
 
 impl Slab {
     /// An empty slab of `entry_bytes`-sized buffers.
-    pub fn new(entry_bytes: usize) -> Slab {
-        Slab { entry_bytes, entries: Vec::new(), free: Vec::new() }
+    fn new(entry_bytes: usize) -> Slab {
+        Slab { entry_bytes, data: Vec::new(), generation: Vec::new(), free: Vec::new() }
+    }
+
+    fn stride(&self, i: usize) -> Range<usize> {
+        i * self.entry_bytes..(i + 1) * self.entry_bytes
+    }
+
+    fn range(&self, h: SlabHandle) -> Option<Range<usize>> {
+        let i = h.index as usize;
+        (*self.generation.get(i)? == h.generation).then(|| self.stride(i))
     }
 
     /// Allocates a zeroed buffer.
-    pub fn alloc(&mut self) -> SlabHandle {
-        match self.free.pop() {
+    fn alloc(&mut self) -> SlabHandle {
+        let index = match self.free.pop() {
             Some(index) => {
-                let e = &mut self.entries[index as usize];
-                e.live = true;
-                e.data.fill(0);
-                SlabHandle { index, generation: e.generation }
+                let stride = self.stride(index as usize);
+                self.data[stride].fill(0);
+                index
             }
             None => {
-                let index = self.entries.len() as u32;
-                self.entries.push(SlabEntry {
-                    generation: 0,
-                    live: true,
-                    data: vec![0u8; self.entry_bytes],
-                });
-                SlabHandle { index, generation: 0 }
+                self.data.resize(self.data.len() + self.entry_bytes, 0);
+                self.generation.push(0);
+                (self.generation.len() - 1) as u32
             }
-        }
+        };
+        SlabHandle { index, generation: self.generation[index as usize] }
     }
 
     /// The buffer behind `h`, or `None` for a stale or freed handle.
-    pub fn get_mut(&mut self, h: SlabHandle) -> Option<&mut [u8]> {
-        let e = self.entries.get_mut(h.index as usize)?;
-        (e.live && e.generation == h.generation).then_some(e.data.as_mut_slice())
+    fn get_mut(&mut self, h: SlabHandle) -> Option<&mut [u8]> {
+        self.range(h).map(|r| &mut self.data[r])
     }
 
     /// Read-only view of the buffer behind `h`.
-    pub fn get(&self, h: SlabHandle) -> Option<&[u8]> {
-        let e = self.entries.get(h.index as usize)?;
-        (e.live && e.generation == h.generation).then_some(e.data.as_slice())
+    fn get(&self, h: SlabHandle) -> Option<&[u8]> {
+        self.range(h).map(|r| &self.data[r])
     }
 
     /// Frees `h`, bumping the entry's generation so `h` (and any copy of
     /// it) is dead from here on. Returns false for an already-stale handle.
-    pub fn free(&mut self, h: SlabHandle) -> bool {
-        let Some(e) = self.entries.get_mut(h.index as usize) else {
-            return false;
-        };
-        if !e.live || e.generation != h.generation {
+    fn free(&mut self, h: SlabHandle) -> bool {
+        if self.range(h).is_none() {
             return false;
         }
-        e.live = false;
-        e.generation = e.generation.wrapping_add(1);
+        self.generation[h.index as usize] = h.generation.wrapping_add(1);
         self.free.push(h.index);
         true
     }
 
     /// Number of live entries.
-    pub fn live(&self) -> usize {
-        self.entries.len() - self.free.len()
+    fn live(&self) -> usize {
+        self.generation.len() - self.free.len()
+    }
+
+    /// Moves `h`'s buffer into a fresh entry of `to` — a demotion or a
+    /// promotion, one copy either way.
+    fn move_to(&mut self, h: SlabHandle, to: &mut Slab) -> SlabHandle {
+        let moved = to.alloc();
+        let bytes = self.get(h).expect("a tracked slot's payload handle is live");
+        to.get_mut(moved).expect("fresh handle").copy_from_slice(bytes);
+        self.free(h);
+        moved
     }
 }
 
 // ---------------------------------------------------------------------------
-// SlabStore: sparse slots over the generational slab, optional spill.
+// SlabStore: paged slot index over two generational slabs (hot, spill).
 // ---------------------------------------------------------------------------
 
 /// Where a slot's payload bytes live.
@@ -474,11 +487,11 @@ impl Slab {
 enum PayloadRef {
     /// In the hot generational slab.
     Hot(SlabHandle),
-    /// Demoted to the spill tier (keyed by slot).
-    Spilled,
+    /// Demoted to the spill slab.
+    Spilled(SlabHandle),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, Default)]
 struct SlotState {
     meta: SlotMeta,
     payload: Option<PayloadRef>,
@@ -488,26 +501,104 @@ struct SlotState {
     /// (slot re-occupied, slab handle reused) prunes instead of demoting
     /// the fresh flow out of turn.
     epoch: u64,
+    /// Payload blocks holding a non-zero byte, kept exact by every write
+    /// to the buffer (`store_block`, `load_block`, `inject`): the slot is
+    /// *drained* when this is 0, with no rescan of the payload.
+    live_blocks: u32,
 }
 
-/// The sparse park table: occupied slots in a hash map, payload in a
-/// generational [`Slab`], memory proportional to occupancy. With
-/// [`SlabStore::with_spill`], the oldest parked payloads demote to a
-/// spill map once the hot slab exceeds its capacity, modeling a
-/// secondary memory tier for long-parked flows.
+fn is_live(block: &[u8]) -> bool {
+    block.iter().fold(0, |acc, b| acc | b) != 0
+}
+
+/// Slots per index page.
+const PAGE_SLOTS: usize = 64;
+
+#[derive(Debug)]
+struct Page {
+    slots: [Option<SlotState>; PAGE_SLOTS],
+    /// How many of `slots` are `Some`.
+    tracked: usize,
+}
+
+/// The slot index: a page table. A lookup is two indexed loads; a page is
+/// allocated on first touch and kept until [`FlowStore::clear`] (the
+/// slabs' high-water-mark rule), the directory grows to the highest slot
+/// touched — memory follows the pages ever used, not `slots()`.
+#[derive(Debug, Default)]
+struct SlotIndex {
+    dir: Vec<Option<Box<Page>>>,
+}
+
+impl SlotIndex {
+    fn get(&self, slot: usize) -> Option<&SlotState> {
+        self.dir.get(slot / PAGE_SLOTS)?.as_ref()?.slots[slot % PAGE_SLOTS].as_ref()
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut SlotState> {
+        self.dir.get_mut(slot / PAGE_SLOTS)?.as_mut()?.slots[slot % PAGE_SLOTS].as_mut()
+    }
+
+    /// The slot's state, tracked from here on (all-zero when it was not).
+    fn entry(&mut self, slot: usize) -> &mut SlotState {
+        let p = slot / PAGE_SLOTS;
+        if p >= self.dir.len() {
+            self.dir.resize_with(p + 1, || None);
+        }
+        let page = self.dir[p]
+            .get_or_insert_with(|| Box::new(Page { slots: [None; PAGE_SLOTS], tracked: 0 }));
+        let state = &mut page.slots[slot % PAGE_SLOTS];
+        page.tracked += usize::from(state.is_none());
+        state.get_or_insert_with(SlotState::default)
+    }
+
+    fn remove(&mut self, slot: usize) -> Option<SlotState> {
+        let page = self.dir.get_mut(slot / PAGE_SLOTS)?.as_mut()?;
+        let state = page.slots[slot % PAGE_SLOTS].take()?;
+        page.tracked -= 1;
+        Some(state)
+    }
+
+    /// Tracked slots inside `range`, ascending; untouched and empty pages
+    /// are skipped whole.
+    fn slots_in(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let pages = range.start / PAGE_SLOTS..range.end.div_ceil(PAGE_SLOTS).min(self.dir.len());
+        pages
+            .filter_map(|p| Some((p, self.dir[p].as_ref().filter(|page| page.tracked > 0)?)))
+            .flat_map(|(p, page)| {
+                (0..PAGE_SLOTS)
+                    .filter(|i| page.slots[*i].is_some())
+                    .map(move |i| p * PAGE_SLOTS + i)
+            })
+            .filter(move |slot| range.contains(slot))
+    }
+
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.dir.iter().flatten().map(|page| page.tracked).sum()
+    }
+}
+
+/// The sparse park table: tracked slots in a paged index, payload in a
+/// generational slab, memory proportional to the high-water mark of
+/// touched pages and live payloads. With [`SlabStore::with_spill`], the
+/// oldest parked payloads demote to a second slab once the hot one exceeds
+/// its capacity, modeling a secondary memory tier for long-parked flows.
 #[derive(Debug)]
 pub struct SlabStore {
     slots: usize,
     blocks: usize,
-    states: HashMap<usize, SlotState>,
+    index: SlotIndex,
     slab: Slab,
-    spill: HashMap<usize, Vec<u8>>,
+    spill: Slab,
     /// Hot-slab capacity that triggers spilling (None = unbounded).
     hot_capacity: Option<usize>,
     /// Park order for the spill policy, lazily pruned: entries whose
     /// handle or park epoch went stale (the flow merged, was evicted, or
     /// the slot was re-occupied) are skipped.
     park_order: VecDeque<(usize, SlabHandle, u64)>,
+    /// `enforce_spill`'s skipped entries, kept for its capacity.
+    deferred: Vec<(usize, SlabHandle, u64)>,
     /// Next park epoch to hand out (see [`SlotState::epoch`]).
     park_epoch: u64,
     occupied: usize,
@@ -519,11 +610,12 @@ impl SlabStore {
         SlabStore {
             slots,
             blocks,
-            states: HashMap::new(),
+            index: SlotIndex::default(),
             slab: Slab::new(blocks * BLOCK_BYTES),
-            spill: HashMap::new(),
+            spill: Slab::new(blocks * BLOCK_BYTES),
             hot_capacity: None,
             park_order: VecDeque::new(),
+            deferred: Vec::new(),
             park_epoch: 0,
             occupied: 0,
         }
@@ -541,21 +633,28 @@ impl SlabStore {
         self.slab.live()
     }
 
-    fn free_payload(
-        states_entry: &mut SlotState,
-        slab: &mut Slab,
-        spill: &mut HashMap<usize, Vec<u8>>,
-        slot: usize,
-    ) {
-        match states_entry.payload.take() {
-            Some(PayloadRef::Hot(h)) => {
-                slab.free(h);
-            }
-            Some(PayloadRef::Spilled) => {
-                spill.remove(&slot);
-            }
-            None => {}
-        }
+    fn free_payload(&mut self, payload: Option<PayloadRef>) {
+        match payload {
+            Some(PayloadRef::Hot(h)) => self.slab.free(h),
+            Some(PayloadRef::Spilled(h)) => self.spill.free(h),
+            None => false,
+        };
+    }
+
+    /// Block `j` of a tracked slot's payload buffer, in whichever tier
+    /// holds it.
+    fn block_mut<'a>(
+        slab: &'a mut Slab,
+        spill: &'a mut Slab,
+        payload: PayloadRef,
+        j: usize,
+    ) -> &'a mut [u8; BLOCK_BYTES] {
+        let buf = match payload {
+            PayloadRef::Hot(h) => slab.get_mut(h),
+            PayloadRef::Spilled(h) => spill.get_mut(h),
+        };
+        let buf = buf.expect("a tracked slot's payload handle is live");
+        buf[j * BLOCK_BYTES..].first_chunk_mut().expect("block j is inside the payload")
     }
 
     /// Demotes oldest *live* parked payloads until the slab is back under
@@ -570,41 +669,33 @@ impl SlabStore {
         let Some(cap) = self.hot_capacity else {
             return;
         };
-        // Entries skipped this pass (hot, but not demotable because the
-        // metadata is already zero while payload bytes are still pending
-        // drain). Re-queued afterwards so a later pass revisits them.
-        let mut deferred = Vec::new();
         while self.slab.live() > cap {
             let Some((slot, handle, epoch)) = self.park_order.pop_front() else {
                 break;
             };
-            let still_hot = matches!(
-                self.states.get(&slot),
-                Some(SlotState { payload: Some(PayloadRef::Hot(h)), epoch: e, .. })
-                    if *h == handle && *e == epoch
-            );
-            if !still_hot {
+            let Some(state) = self
+                .index
+                .get_mut(slot)
+                .filter(|s| s.payload == Some(PayloadRef::Hot(handle)) && s.epoch == epoch)
+            else {
                 continue; // lazily pruned: the flow is gone or moved.
-            }
-            let expired = self.states.get(&slot).expect("checked above").meta.exp == 0;
-            if expired {
-                let drained =
-                    self.slab.get(handle).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true);
-                if drained {
+            };
+            if state.meta.exp == 0 {
+                if state.live_blocks == 0 {
                     // Nothing left to restore: evict instead of demoting.
-                    let mut state = self.states.remove(&slot).expect("present");
-                    Self::free_payload(&mut state, &mut self.slab, &mut self.spill, slot);
+                    self.index.remove(slot);
+                    self.slab.free(handle);
                 } else {
-                    deferred.push((slot, handle, epoch));
+                    // Hot, but not demotable: the metadata is already
+                    // zero while payload bytes are still pending drain.
+                    // Re-queued below so a later pass revisits it.
+                    self.deferred.push((slot, handle, epoch));
                 }
                 continue;
             }
-            let bytes = self.slab.get(handle).expect("live handle").to_vec();
-            self.slab.free(handle);
-            self.spill.insert(slot, bytes);
-            self.states.get_mut(&slot).expect("checked above").payload = Some(PayloadRef::Spilled);
+            state.payload = Some(PayloadRef::Spilled(self.slab.move_to(handle, &mut self.spill)));
         }
-        for entry in deferred.into_iter().rev() {
+        for entry in self.deferred.drain(..).rev() {
             self.park_order.push_front(entry);
         }
     }
@@ -612,24 +703,9 @@ impl SlabStore {
     /// Drops the whole slot entry once both its metadata and payload are
     /// fully drained.
     fn release_if_drained(&mut self, slot: usize) {
-        let Some(state) = self.states.get(&slot) else {
-            return;
-        };
-        if !state.meta.is_zero() {
-            return;
-        }
-        let drained = match state.payload {
-            None => true,
-            Some(PayloadRef::Hot(h)) => {
-                self.slab.get(h).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true)
-            }
-            Some(PayloadRef::Spilled) => {
-                self.spill.get(&slot).map(|d| d.iter().all(|b| *b == 0)).unwrap_or(true)
-            }
-        };
-        if drained {
-            let mut state = self.states.remove(&slot).expect("present");
-            Self::free_payload(&mut state, &mut self.slab, &mut self.spill, slot);
+        if self.index.get(slot).is_some_and(|s| s.meta.is_zero() && s.live_blocks == 0) {
+            let state = self.index.remove(slot).expect("present");
+            self.free_payload(state.payload);
         }
     }
 }
@@ -648,11 +724,7 @@ impl FlowStore for SlabStore {
     }
 
     fn probe(&mut self, slot: usize, tag: ParkTag) -> ProbeOutcome {
-        let state = self.states.entry(slot).or_insert(SlotState {
-            meta: SlotMeta::default(),
-            payload: None,
-            epoch: 0,
-        });
+        let state = self.index.entry(slot);
         let was = state.meta.exp > 0;
         let outcome = probe_meta(&mut state.meta, tag);
         let now = state.meta.exp > 0;
@@ -663,51 +735,39 @@ impl FlowStore for SlabStore {
             // allocating) the buffer here reproduces that aliasing.
             let handle = match state.payload {
                 Some(PayloadRef::Hot(h)) => h,
-                Some(PayloadRef::Spilled) => {
-                    // Promote back: the new occupant writes hot.
-                    let h = self.slab.alloc();
-                    let bytes = self.spill.remove(&slot).expect("spilled payload present");
-                    self.slab.get_mut(h).expect("fresh handle").copy_from_slice(&bytes);
-                    h
-                }
+                // Promote back: the new occupant writes hot.
+                Some(PayloadRef::Spilled(cold)) => self.spill.move_to(cold, &mut self.slab),
                 None => self.slab.alloc(),
             };
             let epoch = self.park_epoch;
             self.park_epoch += 1;
-            let state = self.states.get_mut(&slot).expect("present");
             state.payload = Some(PayloadRef::Hot(handle));
             state.epoch = epoch;
             if self.hot_capacity.is_some() {
                 self.park_order.push_back((slot, handle, epoch));
                 self.enforce_spill();
             }
-        } else if state.meta.is_zero() && state.payload.is_none() {
-            self.states.remove(&slot);
         }
         outcome
     }
 
     fn store_block(&mut self, slot: usize, j: usize, data: &[u8]) {
-        let off = j * BLOCK_BYTES;
-        let Some(state) = self.states.get_mut(&slot) else {
+        let Some(state) = self.index.get_mut(slot) else {
             debug_assert!(false, "store_block on an unoccupied slot");
             return;
         };
-        match state.payload {
-            Some(PayloadRef::Hot(h)) => {
-                let buf = self.slab.get_mut(h).expect("live payload handle");
-                buf[off..off + BLOCK_BYTES].copy_from_slice(data);
-            }
-            Some(PayloadRef::Spilled) => {
-                let buf = self.spill.get_mut(&slot).expect("spilled payload present");
-                buf[off..off + BLOCK_BYTES].copy_from_slice(data);
-            }
-            None => debug_assert!(false, "store_block on a slot without payload storage"),
-        }
+        let Some(payload) = state.payload else {
+            debug_assert!(false, "store_block on a slot without payload storage");
+            return;
+        };
+        let data: &[u8; BLOCK_BYTES] = data.try_into().expect("data is one payload block");
+        let cell = Self::block_mut(&mut self.slab, &mut self.spill, payload, j);
+        state.live_blocks = state.live_blocks + u32::from(is_live(data)) - u32::from(is_live(cell));
+        *cell = *data;
     }
 
     fn merge(&mut self, slot: usize, clk: u16) -> MergeOutcome {
-        let Some(state) = self.states.get_mut(&slot) else {
+        let Some(state) = self.index.get_mut(slot) else {
             // An absent entry is an all-zero cell: duplicate arrival.
             return MergeOutcome::Duplicate;
         };
@@ -722,53 +782,39 @@ impl FlowStore for SlabStore {
     }
 
     fn load_block(&mut self, slot: usize, j: usize, out: &mut [u8]) {
-        let off = j * BLOCK_BYTES;
-        let region: Option<&mut [u8]> = match self.states.get_mut(&slot) {
-            Some(SlotState { payload: Some(PayloadRef::Hot(h)), .. }) => {
-                let h = *h;
-                self.slab.get_mut(h)
-            }
-            Some(SlotState { payload: Some(PayloadRef::Spilled), .. }) => {
-                self.spill.get_mut(&slot).map(Vec::as_mut_slice)
-            }
-            _ => None,
-        };
-        match region {
-            Some(buf) => {
-                out.copy_from_slice(&buf[off..off + BLOCK_BYTES]);
-                buf[off..off + BLOCK_BYTES].fill(0);
-            }
+        let tracked = self.index.get_mut(slot);
+        let Some((state, payload)) = tracked.and_then(|s| s.payload.map(|p| (s, p))) else {
             // A fully-drained (released) slot reads as zeros, exactly like
             // the register file's cleared cells.
-            None => out.fill(0),
+            return out.fill(0);
+        };
+        let cell = Self::block_mut(&mut self.slab, &mut self.spill, payload, j);
+        state.live_blocks -= u32::from(is_live(cell));
+        out.copy_from_slice(cell);
+        cell.fill(0);
+        // Only the load that empties the last block can release the slot.
+        if state.live_blocks == 0 {
+            self.release_if_drained(slot);
         }
-        self.release_if_drained(slot);
     }
 
     fn clear(&mut self) {
-        self.states.clear();
-        self.slab = Slab::new(self.blocks * BLOCK_BYTES);
-        self.spill.clear();
-        self.park_order.clear();
-        self.park_epoch = 0;
-        self.occupied = 0;
+        let hot_capacity = self.hot_capacity;
+        *self = SlabStore { hot_capacity, ..SlabStore::new(self.slots, self.blocks) };
     }
 
     fn extract_range(&mut self, range: Range<usize>) -> Vec<ParkedFlow> {
-        // Occupancy is sparse: walk the map, not the range.
-        let mut slots: Vec<usize> =
-            self.states.keys().copied().filter(|s| range.contains(s)).collect();
-        slots.sort_unstable();
+        // Occupancy is sparse: walk the touched pages, not the range.
+        let slots: Vec<usize> = self.index.slots_in(range).collect();
         let mut out = Vec::with_capacity(slots.len());
         for slot in slots {
-            let mut state = self.states.remove(&slot).expect("present");
-            let payload = match state.payload {
+            let state = self.index.remove(slot).expect("present");
+            let payload = match state.payload.filter(|_| state.live_blocks > 0) {
                 Some(PayloadRef::Hot(h)) => self.slab.get(h).map(<[u8]>::to_vec),
-                Some(PayloadRef::Spilled) => self.spill.get(&slot).cloned(),
+                Some(PayloadRef::Spilled(h)) => self.spill.get(h).map(<[u8]>::to_vec),
                 None => None,
             };
-            let payload = payload.filter(|p| p.iter().any(|b| *b != 0));
-            Self::free_payload(&mut state, &mut self.slab, &mut self.spill, slot);
+            self.free_payload(state.payload);
             if state.meta.exp > 0 {
                 self.occupied -= 1;
             }
@@ -787,11 +833,11 @@ impl FlowStore for SlabStore {
     fn inject(&mut self, flows: Vec<ParkedFlow>) {
         for f in flows {
             // Clear any residual state first.
-            if let Some(mut old) = self.states.remove(&f.slot) {
+            if let Some(old) = self.index.remove(f.slot) {
                 if old.meta.exp > 0 {
                     self.occupied -= 1;
                 }
-                Self::free_payload(&mut old, &mut self.slab, &mut self.spill, f.slot);
+                self.free_payload(old.payload);
             }
             let meta = SlotMeta { clk: f.clk, exp: f.exp, xsum: f.xsum, tsum: f.tsum };
             if meta.is_zero() && f.payload.is_none() {
@@ -799,9 +845,11 @@ impl FlowStore for SlabStore {
             }
             let epoch = self.park_epoch;
             self.park_epoch += 1;
+            let mut live_blocks = 0;
             let payload = f.payload.map(|bytes| {
                 let h = self.slab.alloc();
                 self.slab.get_mut(h).expect("fresh handle").copy_from_slice(&bytes);
+                live_blocks = bytes.chunks(BLOCK_BYTES).filter(|b| is_live(b)).count() as u32;
                 if self.hot_capacity.is_some() {
                     self.park_order.push_back((f.slot, h, epoch));
                 }
@@ -810,13 +858,13 @@ impl FlowStore for SlabStore {
             if meta.exp > 0 {
                 self.occupied += 1;
             }
-            self.states.insert(f.slot, SlotState { meta, payload, epoch });
+            *self.index.entry(f.slot) = SlotState { meta, payload, epoch, live_blocks };
         }
         self.enforce_spill();
     }
 
     fn spilled(&self) -> usize {
-        self.spill.len()
+        self.spill.live()
     }
 }
 
@@ -830,6 +878,20 @@ mod tests {
 
     fn block(fill: u8) -> [u8; BLOCK_BYTES] {
         [fill; BLOCK_BYTES]
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Tier {
+        Hot,
+        Spill,
+    }
+
+    /// Which tier holds `slot`'s payload buffer, if it has one.
+    fn tier(s: &SlabStore, slot: usize) -> Option<Tier> {
+        s.index.get(slot)?.payload.map(|p| match p {
+            PayloadRef::Hot(_) => Tier::Hot,
+            PayloadRef::Spilled(_) => Tier::Spill,
+        })
     }
 
     /// Both stores through the same scripted slot lifecycle must agree on
@@ -907,13 +969,16 @@ mod tests {
         }
         assert_eq!(s.occupancy(), 100);
         assert_eq!(s.hot(), 100);
+        // One page per touched slot (they are 1 000 apart), out of the
+        // 16 384 a dense index of 2^20 slots would hold.
+        assert_eq!(s.index.dir.iter().flatten().count(), 100);
         for slot in 0..100 {
             assert!(matches!(s.merge(slot * 1000, 1), MergeOutcome::Restored { .. }));
         }
         assert_eq!(s.occupancy(), 0);
         // Nothing was stored, so reclaim released every buffer.
         assert_eq!(s.hot(), 0);
-        assert!(s.states.is_empty());
+        assert_eq!(s.index.tracked(), 0);
     }
 
     #[test]
@@ -969,7 +1034,7 @@ mod tests {
     /// cleared, payload waiting for `load_block`) used to be demoted as
     /// "oldest parked", bumping the spill gauge for a flow that is no
     /// longer parked and bumping it back down when the drain pulled the
-    /// bytes out of the spill map — the gauge double-touch.
+    /// bytes out of the spill tier — the gauge double-touch.
     #[test]
     fn spill_bound_skips_merge_residuals() {
         let mut s = SlabStore::with_spill(1024, 1, 1);
@@ -982,8 +1047,8 @@ mod tests {
         s.store_block(1, 0, &block(0xBB));
         // The residual stays hot; the genuinely parked flow demotes.
         assert_eq!(s.spilled(), 1, "exactly one parked payload demotes");
-        assert!(!s.spill.contains_key(&0), "merge residual must not enter the spill tier");
-        assert!(s.spill.contains_key(&1), "the live parked flow is the one demoted");
+        assert_eq!(tier(&s, 0), Some(Tier::Hot), "merge residual must not enter the spill tier");
+        assert_eq!(tier(&s, 1), Some(Tier::Spill), "the live parked flow is the one demoted");
         // Draining A releases it from the hot slab without ever touching
         // the spill gauge; B stays spilled throughout.
         let mut out = [0u8; BLOCK_BYTES];
@@ -1016,8 +1081,8 @@ mod tests {
         assert!(s.probe(2, tag(4)).parked);
         s.store_block(2, 0, &block(0xD1));
         assert_eq!(s.spilled(), 1);
-        assert!(s.spill.contains_key(&1), "oldest live flow (B) demotes");
-        assert!(!s.spill.contains_key(&0), "freshly re-parked flow (C) stays hot");
+        assert_eq!(tier(&s, 1), Some(Tier::Spill), "oldest live flow (B) demotes");
+        assert_eq!(tier(&s, 0), Some(Tier::Hot), "freshly re-parked flow (C) stays hot");
         // All three restore byte-identical.
         let mut out = [0u8; BLOCK_BYTES];
         assert!(matches!(s.merge(1, 2), MergeOutcome::Restored { .. }));
@@ -1056,6 +1121,186 @@ mod tests {
         }
         assert_eq!(s.occupancy(), 0);
         assert_eq!(s.hot(), 0);
-        assert!(s.states.is_empty());
+        assert_eq!(s.index.tracked(), 0);
+    }
+
+    /// The page directory grows on demand: a slot beyond `slots()` is
+    /// tracked like any other.
+    #[test]
+    fn slab_store_accepts_a_slot_beyond_its_logical_capacity() {
+        let mut s = SlabStore::new(64, 1);
+        assert!(s.probe(5000, tag(1)).parked);
+        s.store_block(5000, 0, &block(0x77));
+        assert_eq!(s.merge(5000, 1), MergeOutcome::Restored { xsum: 0xBEEF, tsum: 0x1234 });
+        let mut out = [0u8; BLOCK_BYTES];
+        s.load_block(5000, 0, &mut out);
+        assert_eq!(out, block(0x77));
+        assert_eq!(s.merge(9999, 1), MergeOutcome::Duplicate);
+        assert_eq!((s.hot(), s.index.tracked()), (0, 0));
+    }
+
+    /// splitmix64: the differential test's only source of randomness.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// An all-zero block, a block with one non-zero byte, or a full one.
+        fn block(&mut self) -> [u8; BLOCK_BYTES] {
+            let mut b = [0u8; BLOCK_BYTES];
+            match self.below(3) {
+                0 => {}
+                1 => b[self.below(BLOCK_BYTES)] = 1 + self.below(255) as u8,
+                _ => b.fill(1 + self.below(255) as u8),
+            }
+            b
+        }
+    }
+
+    /// A `SlabStore` beside the `CircularStore` it must be
+    /// indistinguishable from.
+    struct Pair {
+        reference: CircularStore,
+        slab: SlabStore,
+    }
+
+    impl Pair {
+        fn probe(&mut self, slot: usize, tag: ParkTag) -> ProbeOutcome {
+            let outcome = self.reference.probe(slot, tag);
+            assert_eq!(self.slab.probe(slot, tag), outcome, "probe {slot} {tag:?}");
+            outcome
+        }
+
+        fn store_block(&mut self, slot: usize, j: usize, data: &[u8]) {
+            self.reference.store_block(slot, j, data);
+            self.slab.store_block(slot, j, data);
+        }
+
+        fn merge(&mut self, slot: usize, clk: u16) -> MergeOutcome {
+            let outcome = self.reference.merge(slot, clk);
+            assert_eq!(self.slab.merge(slot, clk), outcome, "merge {slot} clk {clk}");
+            outcome
+        }
+
+        fn load_block(&mut self, slot: usize, j: usize) {
+            let (mut want, mut got) = ([0u8; BLOCK_BYTES], [0xEEu8; BLOCK_BYTES]);
+            self.reference.load_block(slot, j, &mut want);
+            self.slab.load_block(slot, j, &mut got);
+            assert_eq!(got, want, "load_block {slot}/{j}");
+        }
+
+        fn extract_range(&mut self, range: Range<usize>) -> Vec<ParkedFlow> {
+            let flows = self.reference.extract_range(range.clone());
+            assert_eq!(self.slab.extract_range(range.clone()), flows, "extract {range:?}");
+            flows
+        }
+
+        fn inject(&mut self, flows: Vec<ParkedFlow>) {
+            self.reference.inject(flows.clone());
+            self.slab.inject(flows);
+        }
+
+        fn check(&self) {
+            assert_eq!(self.slab.occupancy(), self.reference.occupancy());
+            assert!(self.slab.spilled() <= self.slab.occupancy(), "a spilled payload is parked");
+        }
+    }
+
+    /// One seeded op stream over two store pairs (flows migrate between
+    /// them). Slots are few and revisited, expiry is 1..=3 and clocks come
+    /// from 0..4, so aging, eviction, re-park over an unmerged occupant's
+    /// bytes, premature and duplicate merges all happen by chance.
+    fn differential(seed: u64, blocks: usize, make: &dyn Fn() -> SlabStore) {
+        const SLOTS: usize = 80; // two index pages
+        const CLOCKS: usize = 4;
+        let mut rng = Rng(seed);
+        let mut pairs =
+            [(); 2].map(|_| Pair { reference: CircularStore::new(SLOTS, blocks), slab: make() });
+        for _ in 0..4000 {
+            let side = rng.below(2);
+            let pair = &mut pairs[side];
+            let slot = rng.below(SLOTS);
+            match rng.below(100) {
+                0..=44 => {
+                    let tag = ParkTag {
+                        clk: rng.below(CLOCKS) as u16,
+                        expiry: 1 + rng.below(3) as u16,
+                        xsum: rng.below(1 << 16) as u16,
+                        tsum: rng.below(1 << 16) as u16,
+                    };
+                    if pair.probe(slot, tag).parked {
+                        // Most blocks stored once, some skipped (the last
+                        // occupant's bytes stay), some overwritten.
+                        for _ in 0..blocks + rng.below(3) {
+                            pair.store_block(slot, rng.below(blocks), &rng.block());
+                        }
+                    }
+                }
+                45..=84 => {
+                    let restored = pair.merge(slot, rng.below(CLOCKS) as u16);
+                    // A restored payload that spilled drains whole, as the
+                    // program drains it; a hot one may keep a residual,
+                    // which `enforce_spill` must then leave hot.
+                    let whole = tier(&pair.slab, slot) == Some(Tier::Spill);
+                    for j in 0..blocks {
+                        if matches!(restored, MergeOutcome::Restored { .. })
+                            && (whole || rng.below(8) > 0)
+                        {
+                            pair.load_block(slot, j);
+                        }
+                    }
+                }
+                85..=91 => pair.load_block(slot, rng.below(blocks)),
+                92..=98 => {
+                    let flows = pair.extract_range(slot..(slot + 1 + rng.below(24)).min(SLOTS));
+                    pair.check();
+                    pairs[1 - side].inject(flows);
+                }
+                _ => {
+                    if rng.below(8) == 0 {
+                        pair.reference.clear();
+                        pair.slab.clear();
+                    }
+                }
+            }
+            pairs.iter().for_each(Pair::check);
+        }
+        // Merge and drain everything: the slab must end empty-handed.
+        for pair in &mut pairs {
+            for slot in 0..SLOTS {
+                for clk in 0..CLOCKS {
+                    pair.merge(slot, clk as u16);
+                }
+                for j in 0..blocks {
+                    pair.load_block(slot, j);
+                }
+            }
+            pair.check();
+            let s = &pair.slab;
+            assert_eq!((s.occupancy(), s.hot(), s.spilled(), s.index.tracked()), (0, 0, 0, 0));
+        }
+    }
+
+    /// `SlabStore` — unbounded, and spilling at hot capacities 1, 8 and
+    /// beyond the slot count — against `CircularStore` over random op
+    /// streams: every outcome, occupancy, loaded byte and migrated flow
+    /// equal. The check that a drained count which drifts from the byte
+    /// scan it replaced cannot pass.
+    #[test]
+    fn slab_store_is_indistinguishable_from_the_circular_reference() {
+        for blocks in [1, 2, 10] {
+            for seed in 0..6 {
+                differential(seed, blocks, &|| SlabStore::new(80, blocks));
+                for hot in [1, 8, 128] {
+                    differential(seed, blocks, &|| SlabStore::with_spill(80, blocks, hot));
+                }
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ pub enum StoreChoice {
     /// Sparse generational slab.
     Slab,
     /// Slab with a bounded hot tier; older parked payloads demote to
-    /// the spill map.
+    /// the spill slab.
     SlabSpill {
         /// Hot-tier payload capacity.
         hot_capacity: usize,

@@ -7,12 +7,20 @@
 //! counting shim, runs two warm-up batches to size the pools, and then
 //! asserts the third batch performs exactly zero allocations. The
 //! engine's round trip recycles its output arenas the same way, so a warm
-//! wave allocates per worker, never per packet or per batch.
+//! wave allocates per worker, never per packet or per batch. The sparse
+//! park table ([`SlabStore`]) holds its index pages and both payload
+//! arenas at their high-water mark, so a warm park + restore cycle is
+//! allocation-free too, and a warm cluster round allocates only the owned
+//! byte vectors its public API hands out.
 //!
 //! The counter is global, so the file holds one `#[test]` that runs the
 //! checks in sequence: no other test's thread allocates while one counts.
 
-use pp_fastpath::{EngineConfig, SlicedTestbed};
+use payloadpark::flowstore::{MergeOutcome, ParkTag};
+use payloadpark::{FlowStore, SlabStore};
+use pp_cluster::{Cluster, ClusterConfig, StoreKind};
+use pp_fastpath::{adverse_return_wave, EngineConfig, SlicedTestbed};
+use pp_netsim::adversity::{AdversityProfile, FaultTally, LegProfile};
 use pp_rmt::switch::BatchOutput;
 use pp_rmt::SwitchModel;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,8 +114,92 @@ fn warm_engine_roundtrip_allocates_per_worker() {
     assert!(last < 100, "3rd round-trip wave allocated {last} times");
 }
 
+/// pp-bench's store probe (`flowstore.*_park_restore_ns`): park `slots`
+/// payloads of 10 blocks, then merge and drain them all. Returns the
+/// allocation count of the last of `cycles` cycles.
+fn allocs_in_last_store_cycle(store: &mut dyn FlowStore, slots: usize, cycles: u16) -> u64 {
+    let payload = [0xA5u8; 16];
+    let mut out = [0u8; 16];
+    let mut last = 0;
+    for clk in 1..=cycles {
+        let before = allocs();
+        for slot in 0..slots {
+            assert!(store.probe(slot, ParkTag { clk, expiry: 1, xsum: 7, tsum: 9 }).parked);
+            for j in 0..store.blocks() {
+                store.store_block(slot, j, &payload);
+            }
+        }
+        for slot in 0..slots {
+            assert!(matches!(store.merge(slot, clk), MergeOutcome::Restored { .. }));
+            for j in 0..store.blocks() {
+                store.load_block(slot, j, &mut out);
+            }
+        }
+        last = allocs() - before;
+        assert_eq!((out, store.occupancy()), (payload, 0));
+    }
+    last
+}
+
+fn warm_slab_store_never_allocates() {
+    const N: usize = 4096;
+    let slab = allocs_in_last_store_cycle(&mut SlabStore::new(N, 10), N, 4);
+    assert_eq!(slab, 0, "4th park + restore cycle through SlabStore allocated {slab} times");
+    let mut store = SlabStore::with_spill(N, 10, N / 16);
+    let spill = allocs_in_last_store_cycle(&mut store, N, 4);
+    assert_eq!(spill, 0, "4th cycle through the spilling SlabStore allocated {spill} times");
+}
+
+/// A warm round of pp-bench's `cluster_pressure`: 8 × 256-slot slices on
+/// two spill-store switches, a fifth of the returns sprayed, a 4 096-packet
+/// wave that wraps every table twice, loss/dup/reorder on the NF legs. The
+/// two wave calls return owned packets, and a duplicate is a clone; beyond
+/// those byte vectors the round may allocate a few dozen times per wave
+/// (the returned `Vec`s, the adversity's sort), never per packet. ROADMAP's
+/// "< 100 allocations per wave" waits on wave calls that return arenas.
+fn warm_cluster_round_allocates_only_what_it_returns() {
+    let tb = SlicedTestbed::new(8, 256);
+    let cfg = ClusterConfig {
+        store: StoreKind::SlabSpill { hot_capacity: 256 },
+        ..ClusterConfig::slab(2)
+    };
+    let mut cluster = Cluster::new(&tb.config(), cfg).expect("cluster builds");
+    tb.wire(&mut |mac, port| cluster.l2_add(mac, port));
+    cluster.set_proxy_spray(200);
+    let wave = tb.counted_mixed_wave(17, 4096);
+    let adversity = AdversityProfile {
+        seed: 17,
+        to_nf: LegProfile::loss(0.02),
+        from_nf: LegProfile {
+            duplicate: 0.01,
+            reorder: 0.2,
+            max_displacement: 8,
+            ..Default::default()
+        },
+    };
+    let (mut last, mut handed_out) = (0, 0);
+    for _ in 0..3 {
+        let mut tally = FaultTally::default();
+        let before = allocs();
+        let to_servers = cluster.process_wave(&wave);
+        let split = to_servers.len() as u64;
+        let back = adverse_return_wave(&adversity, to_servers, tb.sink_mac(), &mut tally);
+        let merged = cluster.process_return_wave(back);
+        last = allocs() - before;
+        handed_out = split + merged.len() as u64 + tally.duplicated;
+        assert!(merged.len() > 3000, "most of the wave is delivered: {}", merged.len());
+    }
+    assert!(cluster.check_oracle().ok());
+    assert!(
+        last <= handed_out + 64,
+        "3rd cluster round allocated {last} times for {handed_out} packets handed out"
+    );
+}
+
 #[test]
 fn steady_state_allocation_discipline() {
     warm_process_batch_never_allocates();
     warm_engine_roundtrip_allocates_per_worker();
+    warm_slab_store_never_allocates();
+    warm_cluster_round_allocates_only_what_it_returns();
 }
