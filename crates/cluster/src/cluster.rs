@@ -40,10 +40,10 @@ use payloadpark::flowstore::{lock, shared, CircularStore, SlabStore};
 use payloadpark::oracle::{check_cluster, OracleReport};
 use payloadpark::storeprog::{build_store_switch_with_bases, StoreControl};
 use payloadpark::{BuildError, ParkConfig, SharedStore};
-use pp_fastpath::adversity::adverse_return_wave;
+use pp_fastpath::conformance::Dataplane;
 use pp_fastpath::telemetry::dataplane_registry;
 use pp_metrics::registry::MetricsRegistry;
-use pp_netsim::adversity::{AdversityProfile, FaultTally, SeqWindow};
+use pp_netsim::adversity::{FaultTally, SeqWindow};
 use pp_netsim::link::Link;
 use pp_netsim::time::{Bandwidth, SimDuration, SimTime};
 use pp_packet::MacAddr;
@@ -396,24 +396,6 @@ impl Cluster {
         true
     }
 
-    /// The full Split → adverse NF legs → Merge round trip, the cluster
-    /// analogue of `SlicedTestbed::scalar_roundtrip_two_phase_adverse`:
-    /// all splits (routed per the plan), then the whole split wave
-    /// suffers the profile's two legs around the MAC-swap NF, then the
-    /// survivors merge wherever their cables land them. On a one-switch
-    /// cluster this is step-for-step the scalar reference loop.
-    pub fn roundtrip_adverse(
-        &mut self,
-        inputs: &[BatchPacket],
-        sink: MacAddr,
-        adversity: &AdversityProfile,
-        tally: &mut FaultTally,
-    ) -> Vec<SwitchOutput> {
-        let to_servers = self.process_wave(inputs);
-        let back = adverse_return_wave(adversity, to_servers, sink, tally);
-        self.process_return_wave(back)
-    }
-
     /// Adds a fresh switch to the ring and migrates the slices its
     /// arrival claims. Returns the new switch's id.
     pub fn join(&mut self) -> Result<u32, BuildError> {
@@ -664,5 +646,30 @@ impl Cluster {
             return 0.0;
         }
         self.links.values().map(|l| l.utilization(self.now)).sum::<f64>() / self.links.len() as f64
+    }
+}
+
+/// The cluster under the conformance drive: splits routed per the plan,
+/// merges landing wherever their cables put them. On a one-switch
+/// cluster this is step for step the scalar reference.
+impl Dataplane for Cluster {
+    fn split(&mut self, wave: &[BatchPacket]) -> Vec<BatchPacket> {
+        self.process_wave(wave)
+    }
+
+    fn merge(&mut self, wave: Vec<BatchPacket>) -> Vec<SwitchOutput> {
+        self.process_return_wave(wave)
+    }
+
+    fn counters(&mut self) -> CounterSnapshot {
+        self.cluster_counters()
+    }
+
+    fn stats(&mut self) -> SwitchStats {
+        self.cluster_stats()
+    }
+
+    fn occupancy(&mut self) -> usize {
+        Cluster::occupancy(self)
     }
 }

@@ -507,12 +507,25 @@ struct SlotState {
     live_blocks: u32,
 }
 
+impl SlotState {
+    /// Whether a park-order entry `(handle, epoch)` still names this
+    /// slot's hot payload. Once false it stays false: a new occupant gets
+    /// a fresh epoch, and a demoted payload only turns hot by re-parking.
+    fn holds(&self, handle: SlabHandle, epoch: u64) -> bool {
+        self.payload == Some(PayloadRef::Hot(handle)) && self.epoch == epoch
+    }
+}
+
 fn is_live(block: &[u8]) -> bool {
     block.iter().fold(0, |acc, b| acc | b) != 0
 }
 
 /// Slots per index page.
 const PAGE_SLOTS: usize = 64;
+
+/// Park-order entries beyond twice the live hot payloads that trigger a
+/// sweep of the stale ones.
+const PARK_ORDER_SLACK: usize = 32;
 
 #[derive(Debug)]
 struct Page {
@@ -595,7 +608,8 @@ pub struct SlabStore {
     hot_capacity: Option<usize>,
     /// Park order for the spill policy, lazily pruned: entries whose
     /// handle or park epoch went stale (the flow merged, was evicted, or
-    /// the slot was re-occupied) are skipped.
+    /// the slot was re-occupied) are skipped, and swept out in place once
+    /// they crowd the queue (see [`SlabStore::prune_park_order`]).
     park_order: VecDeque<(usize, SlabHandle, u64)>,
     /// `enforce_spill`'s skipped entries, kept for its capacity.
     deferred: Vec<(usize, SlabHandle, u64)>,
@@ -657,6 +671,22 @@ impl SlabStore {
         buf[j * BLOCK_BYTES..].first_chunk_mut().expect("block j is inside the payload")
     }
 
+    /// Sweeps stale entries out of the park order, in place and keeping
+    /// the live ones in order, once the queue outgrows twice the live hot
+    /// payloads. Only `enforce_spill` pops the queue, and only above
+    /// capacity, so below it every park used to leave an entry behind for
+    /// good. Live entries never outnumber hot payloads, so a sweep removes
+    /// at least half of what it scans: O(1) amortized per park. Demotion
+    /// skips stale entries anyway, so no demotion choice changes.
+    fn prune_park_order(&mut self) {
+        if self.park_order.len() > 2 * self.slab.live() + PARK_ORDER_SLACK {
+            let index = &self.index;
+            self.park_order.retain(|&(slot, handle, epoch)| {
+                index.get(slot).is_some_and(|s| s.holds(handle, epoch))
+            });
+        }
+    }
+
     /// Demotes oldest *live* parked payloads until the slab is back under
     /// its capacity. Stale park-order entries (already merged/evicted/
     /// spilled, or superseded by a newer occupant of the slot) are pruned
@@ -669,15 +699,12 @@ impl SlabStore {
         let Some(cap) = self.hot_capacity else {
             return;
         };
+        self.prune_park_order();
         while self.slab.live() > cap {
             let Some((slot, handle, epoch)) = self.park_order.pop_front() else {
                 break;
             };
-            let Some(state) = self
-                .index
-                .get_mut(slot)
-                .filter(|s| s.payload == Some(PayloadRef::Hot(handle)) && s.epoch == epoch)
-            else {
+            let Some(state) = self.index.get_mut(slot).filter(|s| s.holds(handle, epoch)) else {
                 continue; // lazily pruned: the flow is gone or moved.
             };
             if state.meta.exp == 0 {
@@ -1096,6 +1123,30 @@ mod tests {
         assert_eq!(out, block(0xD1));
         assert_eq!(s.spilled(), 0);
         assert_eq!(s.occupancy(), 0);
+    }
+
+    /// Regression: below the hot capacity nothing pops the park order, so
+    /// it used to grow by one entry per park, without bound.
+    #[test]
+    fn park_order_stays_bounded_below_capacity() {
+        let mut s = SlabStore::with_spill(64, 1, 1024);
+        let mut out = [0u8; BLOCK_BYTES];
+        for cycle in 0..10_000u32 {
+            let clk = cycle as u16;
+            let slots = (cycle as usize % 16)..(cycle as usize % 16 + 4);
+            for slot in slots.clone() {
+                assert!(s.probe(slot, tag(clk)).parked);
+                s.store_block(slot, 0, &block(0x5A));
+            }
+            let (queued, hot) = (s.park_order.len(), s.hot());
+            assert!(queued <= 2 * hot + PARK_ORDER_SLACK, "cycle {cycle}: {queued} for {hot}");
+            for slot in slots {
+                assert!(matches!(s.merge(slot, clk), MergeOutcome::Restored { .. }));
+                s.load_block(slot, 0, &mut out);
+                assert_eq!(out, block(0x5A));
+            }
+        }
+        assert_eq!((s.occupancy(), s.hot(), s.spilled()), (0, 0, 0));
     }
 
     /// The acceptance-criteria soak: park and restore over a million

@@ -2,8 +2,8 @@
 //!
 //! [`pp_netsim::adversity`] defines *what* happens to a packet (a pure
 //! function of `(seed, leg, seq)`); this module applies those decisions to
-//! [`BatchPacket`] waves — the currency of both the scalar two-phase
-//! reference loop and the sharded engine. Because every decision is
+//! [`BatchPacket`] waves — the currency of the conformance drive
+//! ([`crate::conformance`]) over every path. Because every decision is
 //! seq-keyed and reordering sorts by `seq + displacement`, applying a
 //! profile to the whole wave and then sharding it is indistinguishable
 //! from applying it per shard (or per batch): the same packets are lost,

@@ -23,11 +23,12 @@
 //! O(workers); the pool keeps at most two arenas per shard and lets the
 //! rest go.
 //!
-//! **Two-phase waves** ([`Engine::process`]) and the adverse round trip
-//! ([`Engine::process_roundtrip_adverse`]) keep batch semantics: a
+//! **Two-phase waves** ([`Engine::process`]) keep batch semantics: a
 //! shard's queue is cut into `batch`-packet messages, each run through
 //! the batched dataplane ([`SwitchModel::process_batch`]) into an arena
-//! of its own, `ring_depth` of them in flight per shard.
+//! of its own, `ring_depth` of them in flight per shard. This is the mode
+//! the conformance drive ([`crate::conformance`]) runs the engine in,
+//! with the adversity legs applied to the whole wave between the phases.
 //!
 //! Determinism is preserved: a shard processes its packets in arrival
 //! order and a slice's register cells are only ever touched by its own
@@ -35,14 +36,14 @@
 //! restricted to the shard's slices, for any slot count; batch execution
 //! performs register accesses in the same per-array order as scalar
 //! execution, so a two-phase drive matches the two-phase scalar
-//! reference. The oracle in `tests/functional_equivalence.rs` and this
-//! module's tests enforce both byte for byte.
+//! reference. The equivalence suites (`tests/functional_equivalence.rs`,
+//! `tests/adversity_matrix.rs`) and this module's tests enforce both byte
+//! for byte.
 
-use crate::adversity::adverse_return_wave;
 use crate::spsc::{self, Consumer, Producer};
 use payloadpark::program::build_switch;
 use payloadpark::{BuildError, CounterSnapshot, ParkConfig, PipeControl, ShardPlan};
-use pp_netsim::adversity::{AdversityProfile, FaultTally};
+use pp_netsim::adversity::FaultTally;
 use pp_packet::MacAddr;
 use pp_rmt::switch::{BatchOutput, BatchPacket, OutputRef, SwitchStats};
 use pp_rmt::{PortId, SwitchModel, SwitchOutput};
@@ -55,15 +56,13 @@ use std::thread::{JoinHandle, Thread};
 pub struct EngineConfig {
     /// Worker threads; the deployment needs at least this many slices.
     pub workers: usize,
-    /// Packets per message of [`Engine::process`] and
-    /// [`Engine::process_roundtrip_adverse`]: the unit of batched
-    /// execution, and the span reordering is clamped to on the adverse
-    /// path. The plain round trip ignores it — a shard's queue travels
+    /// Packets per message of [`Engine::process`]: the unit of batched
+    /// execution. The round trip ignores it — a shard's queue travels
     /// whole.
     pub batch: usize,
     /// Messages each SPSC ring can hold in flight: how far the dispatcher
-    /// may run ahead of a worker on the batched paths. The plain round
-    /// trip puts one message per shard and wave on a ring.
+    /// may run ahead of a worker in batch mode. The round trip puts one
+    /// message per shard and wave on a ring.
     pub ring_depth: usize,
 }
 
@@ -98,16 +97,6 @@ enum WorkerMsg {
     /// the whole Split → NF → Merge round trip on the worker, as each
     /// slice's NF server is its own machine.
     Roundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, arena: BatchOutput },
-    /// The round trip of one batch in two phases, with the worker's own
-    /// injector mangling the two internal legs (switch → NF and
-    /// NF → switch) in between; reply with the merge-side outputs. Every
-    /// per-packet fault is keyed on the sequence number, so per-shard
-    /// injection drops/duplicates/mutates exactly the packets a global
-    /// injector would. Reordering is the one batch-scoped effect:
-    /// displacement cannot carry a packet past the end of its batch,
-    /// since each message merges its own returns before the next one
-    /// splits.
-    AdverseRoundtrip { pkts: Vec<BatchPacket>, sink: MacAddr, adversity: Arc<AdversityProfile> },
     /// Add an L2 forwarding entry (fire and forget).
     L2Add(MacAddr, PortId),
     /// Reply with a control-plane snapshot.
@@ -119,7 +108,7 @@ enum WorkerMsg {
 /// What a worker sends back.
 enum WorkerReply {
     Out(BatchOutput),
-    State { counters: CounterSnapshot, stats: SwitchStats, occupancy: usize, tally: FaultTally },
+    State { counters: CounterSnapshot, stats: SwitchStats, occupancy: usize },
 }
 
 struct WorkerHandle {
@@ -214,7 +203,6 @@ fn worker_main(
         tx.push(r);
         dispatcher.lock().expect("dispatcher slot poisoned").unpark();
     };
-    let mut tally = FaultTally::default();
     // Split-side scratch and the NF's bounce frame, reused across round
     // trips: only the merge-side arena crosses the ring, so their capacity
     // stays with the worker.
@@ -249,28 +237,12 @@ fn worker_main(
                 reply(&mut tx, WorkerReply::Out(arena));
                 drop(pkts);
             }
-            WorkerMsg::AdverseRoundtrip { pkts, sink, adversity } => {
-                switch.process_batch(&pkts, &mut split_side);
-                // This shard's own injector: mangle the two internal legs
-                // around the MAC-swap NF. The wave is built straight off
-                // the arena views (one copy, unavoidable: the injector
-                // mutates bytes).
-                let outs = split_side
-                    .iter()
-                    .map(|o| BatchPacket { bytes: o.bytes.to_vec(), port: o.port, seq: o.seq })
-                    .collect();
-                let back = adverse_return_wave(&adversity, outs, sink, &mut tally);
-                let mut out = BatchOutput::new();
-                switch.process_batch(&back, &mut out);
-                reply(&mut tx, WorkerReply::Out(out));
-            }
             WorkerMsg::L2Add(mac, port) => switch.l2_add(mac, port),
             WorkerMsg::Query => {
                 let state = WorkerReply::State {
                     counters: control.counters(&switch),
                     stats: switch.stats(),
                     occupancy: control.occupancy(&switch),
-                    tally,
                 };
                 reply(&mut tx, state);
             }
@@ -351,7 +323,7 @@ impl Engine {
     /// `batch`-sized messages, and processed concurrently. Within a shard,
     /// arrival order is preserved end to end.
     pub fn process(&mut self, inputs: Vec<BatchPacket>) -> EngineOutput {
-        self.run(inputs, None, None)
+        self.run(inputs, None)
     }
 
     /// Runs one wave through the full Split → NF → Merge round trip: each
@@ -363,45 +335,16 @@ impl Engine {
     /// (sink-bound) outputs, one recycled arena per shard; dropping the
     /// output hands the arenas back for the next wave.
     pub fn process_roundtrip(&mut self, inputs: Vec<BatchPacket>, sink: MacAddr) -> EngineOutput {
-        self.run(inputs, Some(sink), None)
+        self.run(inputs, Some(sink))
     }
 
-    /// [`Engine::process_roundtrip`] under an adversity scenario: each
-    /// worker's own injector mangles the switch → NF and NF → switch legs
-    /// of its shard, one `batch`-packet message at a time (all Splits of
-    /// the batch, the two adverse legs, all Merges). Decisions are keyed
-    /// on `(seed, leg, seq)`, so the scenario is replayable from the
-    /// profile's seed, and which packets are lost, duplicated, truncated
-    /// or corrupted is independent of the worker count or batch size.
-    /// Reorder displacement is additionally clamped to the batch span
-    /// (each batch merges before the next one splits) — drive the engine
-    /// in two phases with [`adverse_return_wave`] applied globally, as the
-    /// equivalence suite does, when cross-batch reordering must match the
-    /// scalar reference. A disabled profile is the plain round trip.
-    /// [`Engine::fault_tally`] reports what was injected.
-    pub fn process_roundtrip_adverse(
-        &mut self,
-        inputs: Vec<BatchPacket>,
-        sink: MacAddr,
-        adversity: &AdversityProfile,
-    ) -> EngineOutput {
-        let adv = (!adversity.is_disabled()).then(|| Arc::new(adversity.clone()));
-        self.run(inputs, Some(sink), adv)
-    }
-
-    fn run(
-        &mut self,
-        inputs: Vec<BatchPacket>,
-        sink: Option<MacAddr>,
-        adversity: Option<Arc<AdversityProfile>>,
-    ) -> EngineOutput {
+    fn run(&mut self, inputs: Vec<BatchPacket>, sink: Option<MacAddr>) -> EngineOutput {
         self.capture_dispatcher();
 
-        // The plain round trip runs to completion: a shard's queue travels
-        // whole, with a recycled arena to fill. The batched paths cut it
-        // into `batch`-packet messages, each answered in an arena of its
-        // own.
-        let fused = sink.is_some() && adversity.is_none();
+        // The round trip runs to completion: a shard's queue travels
+        // whole, with a recycled arena to fill. Batch mode cuts it into
+        // `batch`-packet messages, each answered in an arena of its own.
+        let fused = sink.is_some();
         let size = if fused { usize::MAX } else { self.cfg.batch };
         let queues = partition(&self.plan, inputs, size);
 
@@ -416,15 +359,11 @@ impl Engine {
             .map(|queue| {
                 queue
                     .into_iter()
-                    .map(|pkts| match (sink, &adversity) {
-                        (None, _) => WorkerMsg::Batch(pkts),
-                        (Some(sink), None) => {
+                    .map(|pkts| match sink {
+                        None => WorkerMsg::Batch(pkts),
+                        Some(sink) => {
                             let arena = spare.next().unwrap_or_default();
                             WorkerMsg::Roundtrip { pkts, sink, arena }
-                        }
-                        (Some(sink), Some(adversity)) => {
-                            let adversity = Arc::clone(adversity);
-                            WorkerMsg::AdverseRoundtrip { pkts, sink, adversity }
                         }
                     })
                     .collect()
@@ -487,7 +426,7 @@ impl Engine {
     }
 
     /// Control-plane snapshots from every worker, in worker order.
-    fn query(&mut self) -> Vec<(CounterSnapshot, SwitchStats, usize, FaultTally)> {
+    fn query(&mut self) -> Vec<(CounterSnapshot, SwitchStats, usize)> {
         self.capture_dispatcher();
         let mut states = Vec::with_capacity(self.workers.len());
         for w in &mut self.workers {
@@ -496,8 +435,8 @@ impl Engine {
             }
             loop {
                 match w.recv() {
-                    Some(WorkerReply::State { counters, stats, occupancy, tally }) => {
-                        states.push((counters, stats, occupancy, tally));
+                    Some(WorkerReply::State { counters, stats, occupancy }) => {
+                        states.push((counters, stats, occupancy));
                         break;
                     }
                     Some(_) => continue, // stale wave replies cannot occur here, but be safe
@@ -511,7 +450,7 @@ impl Engine {
     /// Aggregated PayloadPark counters across all shards.
     pub fn counters(&mut self) -> CounterSnapshot {
         let mut total = CounterSnapshot::default();
-        for (c, _, _, _) in self.query() {
+        for (c, _, _) in self.query() {
             total.add(&c);
         }
         total
@@ -520,7 +459,7 @@ impl Engine {
     /// Aggregated switch statistics across all shards.
     pub fn switch_stats(&mut self) -> SwitchStats {
         let mut total = SwitchStats::default();
-        for (_, s, _, _) in self.query() {
+        for (_, s, _) in self.query() {
             total.add(&s);
         }
         total
@@ -528,35 +467,27 @@ impl Engine {
 
     /// Occupied lookup-table slots across all shards.
     pub fn occupancy(&mut self) -> usize {
-        self.query().iter().map(|(_, _, o, _)| o).sum()
-    }
-
-    /// Aggregated fault tally of the per-shard adversity injectors.
-    pub fn fault_tally(&mut self) -> FaultTally {
-        let mut total = FaultTally::default();
-        for (_, _, _, t) in self.query() {
-            total.add(&t);
-        }
-        total
+        self.query().iter().map(|(_, _, o)| o).sum()
     }
 
     /// One telemetry registry for the whole engine: each worker's state
     /// becomes a shard-labelled registry (plus that shard's inbound-ring
     /// depth high-water mark), merged with an unlabelled aggregate view —
     /// so the exposition carries both per-shard series and deployment
-    /// totals.
+    /// totals. The engine injects no faults, so it exports no fault
+    /// families.
     pub fn telemetry_registry(&mut self) -> pp_metrics::MetricsRegistry {
         let states = self.query();
+        let quiet = FaultTally::default();
         let mut total = pp_metrics::MetricsRegistry::new();
         let mut agg_counters = CounterSnapshot::default();
         let mut agg_stats = SwitchStats::default();
         let mut agg_occupancy = 0;
-        let mut agg_tally = FaultTally::default();
-        for (w, (counters, stats, occupancy, tally)) in states.iter().enumerate() {
+        for (w, (counters, stats, occupancy)) in states.iter().enumerate() {
             let shard = w.to_string();
             let labels = [("shard", shard.as_str())];
             let mut reg =
-                crate::telemetry::dataplane_registry(counters, stats, *occupancy, tally, &labels);
+                crate::telemetry::dataplane_registry(counters, stats, *occupancy, &quiet, &labels);
             let hw = reg.highwater(
                 "pp_ring_depth_highwater",
                 "Deepest observed in-flight depth of the shard's inbound SPSC ring.",
@@ -567,13 +498,12 @@ impl Engine {
             agg_counters.add(counters);
             agg_stats.add(stats);
             agg_occupancy += occupancy;
-            agg_tally.add(tally);
         }
         total.merge_from(&crate::telemetry::dataplane_registry(
             &agg_counters,
             &agg_stats,
             agg_occupancy,
-            &agg_tally,
+            &quiet,
             &[],
         ));
         total
@@ -697,7 +627,9 @@ impl EngineOutput {
 mod tests {
     use super::*;
     use crate::adapter::reflect_outputs;
+    use crate::conformance::{two_phase_adverse, PathResult};
     use crate::testbed::SlicedTestbed;
+    use pp_netsim::adversity::AdversityProfile;
     use pp_packet::builder::UdpPacketBuilder;
 
     const TB: SlicedTestbed = SlicedTestbed { slices: 4, slots: 512 };
@@ -880,6 +812,8 @@ mod tests {
         assert!(counters.splits > 0);
     }
 
+    /// The engine under the conformance drive: a seeded scenario replays
+    /// byte-identically, and the seed selects the scenario.
     #[test]
     fn adverse_roundtrip_replays_byte_identically_from_its_seed() {
         use pp_netsim::adversity::LegProfile;
@@ -898,25 +832,17 @@ mod tests {
         let run = |adv: &AdversityProfile| {
             let mut engine =
                 TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
-            let out = engine.process_roundtrip_adverse(
-                TB.counted_enterprise_wave(7, 240),
-                TB.sink_mac(),
-                adv,
-            );
-            (out.to_seq_sorted(), engine.counters(), engine.occupancy(), engine.fault_tally())
+            let wave = [TB.counted_enterprise_wave(7, 240)];
+            PathResult::run("engine", &mut engine, &wave, TB.sink_mac(), adv)
         };
-        let (out_a, counters_a, occ_a, tally_a) = run(&adv);
-        let (out_b, counters_b, occ_b, tally_b) = run(&adv);
-        assert_eq!(out_a, out_b, "same seed must replay byte-identically");
-        assert_eq!(counters_a, counters_b);
-        assert_eq!(tally_a, tally_b);
-        assert!(tally_a.lost() > 0, "{tally_a:?}");
+        let (a, b) = (run(&adv), run(&adv));
+        assert_eq!(b.diff(&a), Ok(()), "same seed must replay byte-identically");
+        assert!(a.tally.lost() > 0, "{:?}", a.tally);
         // The invariants hold even under loss + dup + truncation + reorder.
-        payloadpark::oracle::check_counters(&counters_a, occ_a).assert_ok();
-        payloadpark::oracle::check_counters(&counters_b, occ_b).assert_ok();
+        a.check_oracle(false).unwrap();
         // A different seed is a different scenario.
-        let (_, _, _, tally_c) = run(&AdversityProfile { seed: 43, ..adv });
-        assert_ne!(tally_a, tally_c, "seed must select the scenario");
+        let c = run(&AdversityProfile { seed: 43, ..adv });
+        assert_ne!(a.tally, c.tally, "seed must select the scenario");
     }
 
     #[test]
@@ -925,13 +851,13 @@ mod tests {
         let mut plain =
             TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
         let expected = plain.process_roundtrip(inputs.clone(), TB.sink_mac()).to_seq_sorted();
-        let mut adverse =
+        let mut two_phase =
             TB.build_engine(EngineConfig { workers: 2, batch: 16, ring_depth: 4 }).unwrap();
-        let got = adverse
-            .process_roundtrip_adverse(inputs, TB.sink_mac(), &AdversityProfile::disabled())
-            .to_seq_sorted();
+        let mut tally = FaultTally::default();
+        let calm = AdversityProfile::disabled();
+        let got = two_phase_adverse(&mut two_phase, &inputs, TB.sink_mac(), &calm, &mut tally);
         assert_eq!(got, expected);
-        assert_eq!(adverse.fault_tally(), Default::default());
+        assert_eq!(tally, FaultTally::default());
     }
 
     #[test]
@@ -961,9 +887,8 @@ mod tests {
 
     #[test]
     fn batched_paths_cut_messages_to_the_configured_batch() {
-        // `batch` is the unit of batched execution and the span reordering
-        // is clamped to: one arena comes back per message, so the arena
-        // count and sizes show what travelled.
+        // `batch` is the unit of batched execution: one arena comes back
+        // per message, so the arena count and sizes show what travelled.
         let mut engine =
             TB.build_engine(EngineConfig { workers: 1, batch: 16, ring_depth: 4 }).unwrap();
         let check = |out: &EngineOutput, what: &str| {
@@ -975,15 +900,7 @@ mod tests {
         assert_eq!(split.packets(), 100);
         check(&split, "process");
         check(&engine.process(reflect_outputs(split.iter(), TB.sink_mac())), "merge phase");
-        // A lossy leg keeps the message count and can only shrink arenas.
-        let adv = AdversityProfile {
-            seed: 1,
-            to_nf: pp_netsim::adversity::LegProfile::loss(0.05),
-            ..AdversityProfile::disabled()
-        };
-        let wave = TB.counted_enterprise_wave(3, 100);
-        check(&engine.process_roundtrip_adverse(wave, TB.sink_mac(), &adv), "adverse");
-        // The plain round trip ships the shard's queue whole.
+        // The round trip ships the shard's queue whole.
         let whole = engine.process_roundtrip(TB.counted_enterprise_wave(4, 100), TB.sink_mac());
         assert_eq!(whole.per_worker[0].len(), 1);
         assert_eq!(whole.packets(), 100);

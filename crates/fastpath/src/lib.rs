@@ -17,10 +17,13 @@
 //!   batched dataplane ([`pp_rmt::SwitchModel::process_batch`]);
 //! * [`adapter`] bridges [`pp_trafficgen`] streams in (paced ingest) and
 //!   meters packets/sec and goodput out;
-//! * [`adversity`] applies [`pp_netsim::adversity`] scenarios to engine
-//!   waves: per-shard injectors mangle the internal NF legs with seeded
-//!   loss/reorder/duplication/truncation, deterministically enough that
-//!   scalar and sharded runs suffer identical misfortune.
+//! * [`adversity`] applies [`pp_netsim::adversity`] scenarios to waves:
+//!   the internal NF legs suffer seeded loss/reorder/duplication/
+//!   truncation, keyed per packet, so every path suffers identical
+//!   misfortune;
+//! * [`conformance`] is the one two-phase drive every path runs under
+//!   that misfortune (the [`Dataplane`] trait, [`two_phase_adverse`]) and
+//!   the one record paths are compared on ([`PathResult`]).
 //!
 //! Sharded execution is *observationally identical* to the scalar
 //! pipeline: a slice's register cells are only ever touched by its own
@@ -28,10 +31,13 @@
 //! register accesses in the same per-array order as scalar execution (see
 //! [`pp_rmt::Pipeline::execute_batch`]). `tests/functional_equivalence.rs`
 //! holds the repository's oracle: identical counter totals and
-//! byte-identical merged captures at 2 and 4 shards.
+//! byte-identical merged captures at 2 and 4 shards, and
+//! the shared matrix of `tests/matrix/mod.rs` runs every path through
+//! every adversity scenario.
 
 pub mod adapter;
 pub mod adversity;
+pub mod conformance;
 pub mod engine;
 pub mod spsc;
 pub mod telemetry;
@@ -39,6 +45,7 @@ pub mod testbed;
 
 pub use adapter::{reflect_outputs, EgressMeter, PacedIngest};
 pub use adversity::{adverse_return_wave, apply_leg_wave, internal_leg_protected_prefix};
+pub use conformance::{two_phase_adverse, Dataplane, PathResult};
 pub use engine::{Engine, EngineConfig, EngineOutput};
 pub use telemetry::dataplane_registry;
 pub use testbed::SlicedTestbed;

@@ -2,20 +2,20 @@
 //!
 //! Every surface that exercises the engine against the scalar pipeline —
 //! the `fastpath` bench, the `fastpath_throughput` example, the `pp-exp
-//! throughput` experiment, and the equivalence oracle in
-//! `tests/functional_equivalence.rs` — needs the same rig: an N-server
-//! §6.2.4 slicing of pipe 0 (slice *k* splits on port 2k, merges on port
-//! 2k+1 where its MAC-swap NF server lives), per-slice server MACs, a
-//! sink, and a scalar Split → NF → Merge reference loop. Defining it once
-//! keeps the bench, the example and the oracle measuring the *same*
-//! deployment; if the slicing shape or the NF-reflection convention ever
-//! changes, it changes everywhere at once.
+//! throughput` experiment, and the equivalence suites — needs the same
+//! rig: an N-server §6.2.4 slicing of pipe 0 (slice *k* splits on port
+//! 2k, merges on port 2k+1 where its MAC-swap NF server lives), per-slice
+//! server MACs, a sink, and the fused scalar Split → NF → Merge loop.
+//! Defining it once keeps the bench, the example and the oracle measuring
+//! the *same* deployment; if the slicing shape or the NF-reflection
+//! convention ever changes, it changes everywhere at once. The two-phase
+//! drive the equivalence suites compare paths with is
+//! [`crate::conformance::two_phase_adverse`], over the switch and engine
+//! this fixture builds.
 
-use crate::adversity::adverse_return_wave;
 use crate::engine::{Engine, EngineConfig};
 use payloadpark::program::build_switch;
 use payloadpark::{BuildError, ParkConfig, PipeControl, SliceSpec};
-use pp_netsim::adversity::{AdversityProfile, FaultTally};
 use pp_netsim::time::SimDuration;
 use pp_packet::MacAddr;
 use pp_rmt::chip::ChipProfile;
@@ -201,59 +201,6 @@ impl SlicedTestbed {
                 sw.process_into(&back, out.port, out.seq, merged);
             }
         }
-    }
-
-    /// The scalar reference in two phases — all Splits, then all Merges
-    /// in the same order — matching the phase structure of
-    /// [`Engine::process`] driven split-wave-then-merge-wave, so the two
-    /// stay comparable even when the circular buffers wrap.
-    pub fn scalar_roundtrip_two_phase(
-        &self,
-        sw: &mut SwitchModel,
-        inputs: &[BatchPacket],
-    ) -> Vec<SwitchOutput> {
-        let mut to_servers = Vec::new();
-        for pkt in inputs {
-            to_servers.extend(sw.process(&pkt.bytes, pkt.port, pkt.seq));
-        }
-        let mut merged = Vec::new();
-        for out in to_servers {
-            let mut back = out.bytes;
-            back[0..6].copy_from_slice(&self.sink_mac().0);
-            merged.extend(sw.process(&back, out.port, out.seq));
-        }
-        merged
-    }
-
-    /// The two-phase scalar reference under an adversity scenario: all
-    /// Splits, then the split-side wave suffers the profile's switch → NF
-    /// and NF → switch legs (loss, reordering, duplication, truncation,
-    /// blackouts) around the MAC-swap NF, then the survivors Merge. This
-    /// is the oracle the sharded engine is compared against under
-    /// identical seeded misfortune.
-    pub fn scalar_roundtrip_two_phase_adverse(
-        &self,
-        sw: &mut SwitchModel,
-        inputs: &[BatchPacket],
-        adversity: &AdversityProfile,
-        tally: &mut FaultTally,
-    ) -> Vec<SwitchOutput> {
-        let mut to_servers = Vec::new();
-        for pkt in inputs {
-            to_servers.extend(
-                sw.process(&pkt.bytes, pkt.port, pkt.seq).into_iter().map(|o| BatchPacket {
-                    bytes: o.bytes,
-                    port: o.port,
-                    seq: o.seq,
-                }),
-            );
-        }
-        let back = adverse_return_wave(adversity, to_servers, self.sink_mac(), tally);
-        let mut merged = Vec::new();
-        for pkt in back {
-            merged.extend(sw.process(&pkt.bytes, pkt.port, pkt.seq));
-        }
-        merged
     }
 }
 

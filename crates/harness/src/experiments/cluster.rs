@@ -5,10 +5,12 @@
 //! reproduction itself. The parent deployment is the shared 8-server
 //! slicing; a cluster of N switches serves it behind the consistent-hash
 //! plan, and the sweep times the full Split → NF → Merge round trip at
-//! N ∈ {1, 2, 4}. The one-switch row doubles as the equivalence anchor:
-//! `tests/cluster_conformance.rs` pins it step-for-step to the scalar
-//! reference, so the sweep's cost over `throughput`'s scalar row is the
-//! store indirection plus the routing layer, nothing semantic.
+//! N ∈ {1, 2, 4} through the shared conformance drive
+//! ([`pp_fastpath::two_phase_adverse`]). The one-switch row doubles as the
+//! equivalence anchor: `tests/cluster_conformance.rs` pins a one-switch
+//! cluster to the register reference on every scenario, so the sweep's
+//! cost over `throughput`'s scalar row is the store indirection plus the
+//! routing layer, nothing semantic.
 //!
 //! The second series is the availability drill: park a wave, black out
 //! one switch, and let the survivors merge what they own. The drill
@@ -20,7 +22,7 @@ use std::time::Instant;
 
 use crate::experiments::Effort;
 use pp_cluster::{Cluster, ClusterConfig};
-use pp_fastpath::SlicedTestbed;
+use pp_fastpath::{two_phase_adverse, SlicedTestbed};
 use pp_metrics::{MetricsRegistry, Series};
 use pp_netsim::adversity::{AdversityProfile, FaultTally, LegProfile};
 use pp_rmt::switch::BatchPacket;
@@ -70,7 +72,7 @@ fn run_once(
     let mut merged_total = 0u64;
     for _ in 0..reps {
         merged_total +=
-            cluster.roundtrip_adverse(inputs, tb.sink_mac(), &calm, &mut tally).len() as u64;
+            two_phase_adverse(&mut cluster, inputs, tb.sink_mac(), &calm, &mut tally).len() as u64;
     }
     let wall = start.elapsed();
     cluster.check_oracle().assert_ok();

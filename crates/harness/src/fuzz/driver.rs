@@ -11,9 +11,11 @@
 //!    and across its join/leave/down schedule, and
 //! 5. the discrete-event testbed with the case's NF chain.
 //!
-//! Paths 1-3 must agree *exactly* — delivered byte set, counters,
-//! switch statistics, occupancy, fault tallies — and every path must
-//! satisfy the conformance oracle. The scalar reference additionally
+//! Paths 1-4 all run the one two-phase drive of
+//! [`pp_fastpath::conformance`]. Paths 1-3 must agree *exactly* — the
+//! [`PathResult`] comparison: delivered set, counters, switch
+//! statistics, occupancy, fault tallies — and every path must satisfy
+//! the conformance oracle. The scalar reference additionally
 //! drives the adaptive-evictor implementation against the pure
 //! [`PolicyModel`] each wave (on a detached threshold cell, so the
 //! cross-check can never perturb the equivalence comparison).
@@ -30,14 +32,14 @@ use crate::testbed::{self, ChainSpec, DeployMode, ParkParams, TestbedConfig};
 use payloadpark::flowstore::shared;
 use payloadpark::program::build_switch;
 use payloadpark::{
-    build_store_switch, oracle, AdaptivePolicy, CircularStore, CounterSnapshot, ParkConfig,
-    PipeControl, ShardPlan, SlabStore, StoreControl,
+    build_store_switch, AdaptivePolicy, CircularStore, CounterSnapshot, ParkConfig, PipeControl,
+    ShardPlan, SlabStore, StoreControl,
 };
 use pp_cluster::{Cluster, ClusterConfig, ClusterPlan, StoreKind};
-use pp_fastpath::{adverse_return_wave, Engine, EngineConfig, SlicedTestbed};
+use pp_fastpath::{two_phase_adverse, Dataplane, Engine, EngineConfig, PathResult, SlicedTestbed};
 use pp_netsim::adversity::{AdversityProfile, FaultTally};
 use pp_netsim::time::SimDuration;
-use pp_rmt::switch::{BatchPacket, SwitchOutput, SwitchStats};
+use pp_rmt::switch::{BatchPacket, SwitchModel};
 use pp_trafficgen::gen::{GenConfig, SizeModel, TrafficGen, TrafficMix};
 use pp_verify::{check_cluster_plan, check_deployment, check_shard_plan, Severity};
 use std::sync::atomic::AtomicU16;
@@ -89,10 +91,6 @@ impl CaseOutcome {
     pub fn is_fail(&self) -> bool {
         matches!(self, CaseOutcome::Fail { .. })
     }
-}
-
-fn fail(reason: impl Into<String>) -> CaseOutcome {
-    CaseOutcome::Fail { reason: reason.into() }
 }
 
 /// Statically pre-screens a case. `Err` is the skip reason; configs the
@@ -165,125 +163,12 @@ pub fn build_waves(cfg: &FuzzConfig) -> Vec<Vec<BatchPacket>> {
     all.chunks(cfg.packets).map(<[BatchPacket]>::to_vec).collect()
 }
 
-/// Canonical delivered set: reordering legitimately permutes arrival
-/// order, so paths compare sorted `(seq, bytes)` pairs.
-fn canonical(outs: Vec<SwitchOutput>) -> Vec<(u64, Vec<u8>)> {
-    let mut set: Vec<(u64, Vec<u8>)> = outs.into_iter().map(|o| (o.seq, o.bytes)).collect();
-    set.sort();
-    set
-}
-
-struct PathResult {
-    delivered: Vec<(u64, Vec<u8>)>,
-    counters: CounterSnapshot,
-    stats: SwitchStats,
-    occupancy: usize,
-    tally: FaultTally,
-}
-
-/// Compares a path against the scalar reference; `Err` is the failure
-/// reason.
-fn diff_paths(kind: &str, reference: &PathResult, got: &PathResult) -> Result<(), String> {
-    if got.tally != reference.tally {
-        return Err(format!(
-            "{kind}: fault tallies diverged (reference {:?}, got {:?})",
-            reference.tally, got.tally
-        ));
-    }
-    if got.counters != reference.counters {
-        return Err(format!(
-            "{kind}: counters diverged (reference {:?}, got {:?})",
-            reference.counters, got.counters
-        ));
-    }
-    if got.stats != reference.stats {
-        return Err(format!("{kind}: switch statistics diverged"));
-    }
-    if got.occupancy != reference.occupancy {
-        return Err(format!(
-            "{kind}: occupancy diverged (reference {}, got {})",
-            reference.occupancy, got.occupancy
-        ));
-    }
-    if got.delivered.len() != reference.delivered.len() {
-        return Err(format!(
-            "{kind}: delivered count diverged (reference {}, got {})",
-            reference.delivered.len(),
-            got.delivered.len()
-        ));
-    }
-    for (i, (g, r)) in got.delivered.iter().zip(&reference.delivered).enumerate() {
-        if g != r {
-            return Err(format!(
-                "{kind}: delivered byte set diverged at entry {i} (reference seq {}, got seq {})",
-                r.0, g.0
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Oracle checks common to every single-switch path.
-fn check_path_oracle(kind: &str, cfg: &FuzzConfig, path: &PathResult) -> Result<(), String> {
-    let mut report = oracle::check_counters(&path.counters, path.occupancy);
-    // Corrupted payloads legitimately deliver broken checksums; every
-    // other scenario must deliver parseable, checksum-clean packets.
-    if cfg.adversity.corrupt_permille == 0 {
-        report.merge(oracle::check_delivered(path.delivered.iter().map(|(_, b)| &b[..])));
-    }
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!("{kind}: oracle violated: {}", report.violations().join("; ")))
-    }
-}
-
-/// The register-backed scalar reference, plus the per-wave counter
-/// stream for the policy cross-check.
-fn register_run(
-    park: &ParkConfig,
-    tb: &SlicedTestbed,
-    waves: &[Vec<BatchPacket>],
-    adv: &AdversityProfile,
-) -> Result<(PathResult, Vec<CounterSnapshot>), String> {
-    let (mut sw, handles) = build_switch(park).map_err(|e| format!("reference build: {e}"))?;
-    tb.wire(&mut |mac, port| sw.l2_add(mac, port));
-    let control = PipeControl::new(handles[0].clone());
-    let mut tally = FaultTally::default();
-    let mut delivered = Vec::new();
-    let mut per_wave = Vec::new();
-    for wave in waves {
-        delivered.extend(sw_roundtrip(tb, &mut sw, wave, adv, &mut tally));
-        per_wave.push(control.counters(&sw));
-    }
-    let result = PathResult {
-        delivered: canonical(delivered),
-        counters: control.counters(&sw),
-        stats: sw.stats(),
-        occupancy: control.occupancy(&sw),
-        tally,
-    };
-    Ok((result, per_wave))
-}
-
-fn sw_roundtrip(
-    tb: &SlicedTestbed,
-    sw: &mut pp_rmt::SwitchModel,
-    wave: &[BatchPacket],
-    adv: &AdversityProfile,
-    tally: &mut FaultTally,
-) -> Vec<SwitchOutput> {
-    tb.scalar_roundtrip_two_phase_adverse(sw, wave, adv, tally)
-}
-
 /// The store program over the case's `FlowStore` choice.
-fn store_run(
+fn store_switch(
     cfg: &FuzzConfig,
     park: &ParkConfig,
     tb: &SlicedTestbed,
-    waves: &[Vec<BatchPacket>],
-    adv: &AdversityProfile,
-) -> Result<PathResult, String> {
+) -> Result<(SwitchModel, StoreControl), String> {
     let total_slots = park.pipes[0].total_slots();
     let blocks = park.primary_blocks;
     let store = match cfg.store {
@@ -293,54 +178,64 @@ fn store_run(
             shared(SlabStore::with_spill(total_slots, blocks, hot_capacity))
         }
     };
-    let (mut sw, control): (_, StoreControl) =
+    let (mut sw, control) =
         build_store_switch(park, store).map_err(|e| format!("store build: {e}"))?;
     tb.wire(&mut |mac, port| sw.l2_add(mac, port));
-    let mut tally = FaultTally::default();
-    let mut delivered = Vec::new();
-    for wave in waves {
-        delivered.extend(sw_roundtrip(tb, &mut sw, wave, adv, &mut tally));
-    }
-    Ok(PathResult {
-        delivered: canonical(delivered),
-        counters: control.counters(&sw),
-        stats: sw.stats(),
-        occupancy: control.occupancy(),
-        tally,
-    })
+    Ok((sw, control))
 }
 
 /// The sharded engine at `workers`.
-fn engine_run(
+fn engine(park: &ParkConfig, tb: &SlicedTestbed, workers: usize) -> Result<Engine, String> {
+    let mut engine = Engine::new(park, EngineConfig { workers, batch: 32, ring_depth: 4 })
+        .map_err(|e| format!("engine ({workers} workers) build: {e}"))?;
+    tb.wire(&mut |mac, port| engine.l2_add(mac, port));
+    Ok(engine)
+}
+
+/// Paths 1-3: the register-backed reference (oracle- and
+/// policy-checked), then the store program and the 2- and 4-worker
+/// engine, each required to equal it exactly. Returns the reference.
+fn differential(
+    cfg: &FuzzConfig,
     park: &ParkConfig,
     tb: &SlicedTestbed,
     waves: &[Vec<BatchPacket>],
     adv: &AdversityProfile,
-    workers: usize,
     bug: Bug,
 ) -> Result<PathResult, String> {
-    let mut engine = Engine::new(park, EngineConfig { workers, batch: 32, ring_depth: 4 })
-        .map_err(|e| format!("engine ({workers} workers) build: {e}"))?;
-    tb.wire(&mut |mac, port| engine.l2_add(mac, port));
+    let sink = tb.sink_mac();
+    // Corrupted payloads legitimately deliver broken checksums; every
+    // other scenario must deliver parseable, checksum-clean packets.
+    let verify_checksums = cfg.adversity.corrupt_permille == 0;
+
+    let (mut sw, handles) = build_switch(park).map_err(|e| format!("reference build: {e}"))?;
+    tb.wire(&mut |mac, port| sw.l2_add(mac, port));
+    let mut register = (sw, PipeControl::new(handles[0].clone()));
     let mut tally = FaultTally::default();
-    let mut delivered = Vec::new();
+    let (mut delivered, mut per_wave) = (Vec::new(), Vec::new());
     for wave in waves {
-        let to_servers = engine.process(wave.clone());
-        let outs = to_servers.to_seq_sorted().into_iter().map(BatchPacket::from).collect();
-        let back = adverse_return_wave(adv, outs, tb.sink_mac(), &mut tally);
-        delivered.extend(engine.process(back).to_seq_sorted());
+        delivered.extend(two_phase_adverse(&mut register, wave, sink, adv, &mut tally));
+        per_wave.push(register.counters());
     }
-    let mut counters = engine.counters();
-    if bug == Bug::EngineMergeSkew && workers == 4 {
-        counters.merges = counters.merges.saturating_sub(1);
+    let reference = PathResult::capture("reference", &mut register, delivered, tally);
+    reference.check_oracle(verify_checksums)?;
+    policy_crosscheck(cfg, &per_wave)?;
+
+    let paths: [(String, Box<dyn Dataplane>); 3] = [
+        (format!("store ({:?})", cfg.store), Box::new(store_switch(cfg, park, tb)?)),
+        ("engine (2 workers)".into(), Box::new(engine(park, tb, 2)?)),
+        ("engine (4 workers)".into(), Box::new(engine(park, tb, 4)?)),
+    ];
+    for (kind, mut dp) in paths {
+        let skew = bug == Bug::EngineMergeSkew && kind == "engine (4 workers)";
+        let mut path = PathResult::run(kind, &mut *dp, waves, sink, adv);
+        if skew {
+            path.counters.merges = path.counters.merges.saturating_sub(1);
+        }
+        path.diff(&reference)?;
+        path.check_oracle(verify_checksums)?;
     }
-    Ok(PathResult {
-        delivered: canonical(delivered),
-        counters,
-        stats: engine.switch_stats(),
-        occupancy: engine.occupancy(),
-        tally,
-    })
+    Ok(reference)
 }
 
 /// Steps the adaptive-evictor implementation and the pure model over
@@ -411,7 +306,7 @@ fn cluster_run(
     let mut tally = FaultTally::default();
     let mut down: Vec<u32> = Vec::new();
     for (w, wave) in waves.iter().enumerate() {
-        cluster.roundtrip_adverse(wave, tb.sink_mac(), adv, &mut tally);
+        two_phase_adverse(&mut cluster, wave, tb.sink_mac(), adv, &mut tally);
         check(&cluster, &format!("after wave {w}"))?;
         if let Some(event) = cl.schedule.get(w) {
             apply_event(&mut cluster, *event, &mut down)
@@ -520,60 +415,23 @@ pub fn run_case(cfg: &FuzzConfig, bug: Bug) -> CaseOutcome {
     let tb = cfg.testbed();
     let adv = cfg.adversity_profile();
     let waves = build_waves(cfg);
-
-    let (reference, per_wave) = match register_run(&park, &tb, &waves, &adv) {
-        Ok(r) => r,
-        Err(e) => return fail(e),
+    let run = || -> Result<PathResult, String> {
+        let reference = differential(cfg, &park, &tb, &waves, &adv, bug)?;
+        if cfg.cluster.is_some() {
+            cluster_run(cfg, &park, &tb, &waves, &adv)?;
+        }
+        des_run(cfg)?;
+        Ok(reference)
     };
-    if let Err(e) = check_path_oracle("reference", cfg, &reference) {
-        return fail(e);
+    match run() {
+        Ok(reference) => CaseOutcome::Pass(CaseStats {
+            splits: reference.counters.splits,
+            merges: reference.counters.merges,
+            delivered: reference.delivered.len(),
+            cluster: cfg.cluster.is_some(),
+        }),
+        Err(reason) => CaseOutcome::Fail { reason },
     }
-    if let Err(e) = policy_crosscheck(cfg, &per_wave) {
-        return fail(e);
-    }
-
-    let store_kind = format!("store ({:?})", cfg.store);
-    match store_run(cfg, &park, &tb, &waves, &adv) {
-        Ok(path) => {
-            if let Err(e) = diff_paths(&store_kind, &reference, &path)
-                .and_then(|()| check_path_oracle(&store_kind, cfg, &path))
-            {
-                return fail(e);
-            }
-        }
-        Err(e) => return fail(e),
-    }
-
-    for workers in [2usize, 4] {
-        let kind = format!("engine ({workers} workers)");
-        match engine_run(&park, &tb, &waves, &adv, workers, bug) {
-            Ok(path) => {
-                if let Err(e) = diff_paths(&kind, &reference, &path)
-                    .and_then(|()| check_path_oracle(&kind, cfg, &path))
-                {
-                    return fail(e);
-                }
-            }
-            Err(e) => return fail(e),
-        }
-    }
-
-    if cfg.cluster.is_some() {
-        if let Err(e) = cluster_run(cfg, &park, &tb, &waves, &adv) {
-            return fail(e);
-        }
-    }
-
-    if let Err(e) = des_run(cfg) {
-        return fail(e);
-    }
-
-    CaseOutcome::Pass(CaseStats {
-        splits: reference.counters.splits,
-        merges: reference.counters.merges,
-        delivered: reference.delivered.len(),
-        cluster: cfg.cluster.is_some(),
-    })
 }
 
 #[cfg(test)]

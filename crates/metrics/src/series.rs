@@ -115,162 +115,6 @@ impl Series {
             rows.join(",\n")
         )
     }
-
-    /// Parses a series back out of its [`Series::render_json`] form — the
-    /// inverse used by the bench regression gate to read a committed
-    /// baseline file. Hand-rolled (the workspace carries no JSON
-    /// dependency) but a complete parser for the emitted subset: objects,
-    /// arrays, escaped strings, numbers, and `null` (which round-trips to
-    /// NaN). Returns `None` on malformed input or a missing field.
-    pub fn parse_json(text: &str) -> Option<Series> {
-        let (value, rest) = json::parse_value(text.trim())?;
-        if !rest.trim().is_empty() {
-            return None;
-        }
-        let obj = value.as_object()?;
-        let title = obj.get("title")?.as_str()?.to_owned();
-        let x_label = obj.get("x_label")?.as_str()?.to_owned();
-        let columns: Vec<String> = obj
-            .get("columns")?
-            .as_array()?
-            .iter()
-            .map(|v| v.as_str().map(str::to_owned))
-            .collect::<Option<_>>()?;
-        let mut series = Series::new(title, x_label, columns);
-        for row in obj.get("points")?.as_array()? {
-            let cells = row.as_array()?;
-            let mut nums = cells.iter().map(|c| c.as_number());
-            let x = nums.next()??;
-            let values: Vec<f64> = nums.collect::<Option<_>>()?;
-            if values.len() != series.columns.len() {
-                return None;
-            }
-            series.push(x, values);
-        }
-        Some(series)
-    }
-}
-
-/// Minimal recursive-descent JSON reader covering exactly what
-/// [`Series::render_json`] emits.
-mod json {
-    use std::collections::BTreeMap;
-
-    pub enum Value {
-        Null,
-        Number(f64),
-        String(String),
-        Array(Vec<Value>),
-        Object(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Numbers parse to themselves; `null` (a non-finite value on the
-        /// emit side) round-trips to NaN rather than failing.
-        pub fn as_number(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                Value::Null => Some(f64::NAN),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one value off the front of `s`; returns it and the rest.
-    pub fn parse_value(s: &str) -> Option<(Value, &str)> {
-        let s = s.trim_start();
-        match s.as_bytes().first()? {
-            b'{' => parse_object(s),
-            b'[' => parse_array(s),
-            b'"' => parse_string(s).map(|(v, r)| (Value::String(v), r)),
-            b'n' => s.strip_prefix("null").map(|r| (Value::Null, r)),
-            _ => parse_number(s),
-        }
-    }
-
-    fn parse_object(s: &str) -> Option<(Value, &str)> {
-        let mut rest = s.strip_prefix('{')?.trim_start();
-        let mut map = BTreeMap::new();
-        if let Some(r) = rest.strip_prefix('}') {
-            return Some((Value::Object(map), r));
-        }
-        loop {
-            let (key, r) = parse_string(rest.trim_start())?;
-            let r = r.trim_start().strip_prefix(':')?;
-            let (val, r) = parse_value(r)?;
-            map.insert(key, val);
-            rest = r.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r;
-            } else {
-                return rest.strip_prefix('}').map(|r| (Value::Object(map), r));
-            }
-        }
-    }
-
-    fn parse_array(s: &str) -> Option<(Value, &str)> {
-        let mut rest = s.strip_prefix('[')?.trim_start();
-        let mut items = Vec::new();
-        if let Some(r) = rest.strip_prefix(']') {
-            return Some((Value::Array(items), r));
-        }
-        loop {
-            let (val, r) = parse_value(rest)?;
-            items.push(val);
-            rest = r.trim_start();
-            if let Some(r) = rest.strip_prefix(',') {
-                rest = r;
-            } else {
-                return rest.strip_prefix(']').map(|r| (Value::Array(items), r));
-            }
-        }
-    }
-
-    fn parse_string(s: &str) -> Option<(String, &str)> {
-        let mut chars = s.strip_prefix('"')?.char_indices();
-        let mut out = String::new();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Some((out, &s[1..][i + 1..])),
-                '\\' => match chars.next()?.1 {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    other => out.push(other),
-                },
-                other => out.push(other),
-            }
-        }
-        None
-    }
-
-    fn parse_number(s: &str) -> Option<(Value, &str)> {
-        let end = s.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(s.len());
-        let n: f64 = s[..end].parse().ok()?;
-        Some((Value::Number(n), &s[end..]))
-    }
 }
 
 #[cfg(test)]
@@ -336,39 +180,5 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn wrong_width_panics() {
         sample().push(1.0, vec![1.0]);
-    }
-
-    #[test]
-    fn parse_json_roundtrips_render_json() {
-        let s = sample();
-        let parsed = Series::parse_json(&s.render_json()).unwrap();
-        assert_eq!(parsed, s);
-    }
-
-    #[test]
-    fn parse_json_roundtrips_escapes_and_null() {
-        let mut s = Series::new("say \"hi\" \\ there", "x", vec!["v".into()]);
-        s.push(1.5e3, vec![f64::NAN]);
-        s.push(-2.0, vec![0.25]);
-        let parsed = Series::parse_json(&s.render_json()).unwrap();
-        assert_eq!(parsed.title(), "say \"hi\" \\ there");
-        assert!(parsed.points()[0].values[0].is_nan());
-        assert_eq!(parsed.points()[1].values[0], 0.25);
-        assert_eq!(parsed.points()[1].x, -2.0);
-    }
-
-    #[test]
-    fn parse_json_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "not json",
-            "{\"title\": \"t\"}",
-            "{\"title\": \"t\", \"x_label\": \"x\", \"columns\": [\"a\"], \"points\": [[1]]} extra",
-            // Row width disagrees with the column count.
-            "{\"title\": \"t\", \"x_label\": \"x\", \"columns\": [\"a\"], \"points\": [[1, 2, 3]]}",
-        ] {
-            assert!(Series::parse_json(bad).is_none(), "accepted: {bad:?}");
-        }
     }
 }

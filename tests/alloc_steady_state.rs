@@ -8,9 +8,9 @@
 //! asserts the third batch performs exactly zero allocations. The
 //! engine's round trip recycles its output arenas the same way, so a warm
 //! wave allocates per worker, never per packet or per batch. The sparse
-//! park table ([`SlabStore`]) holds its index pages and both payload
-//! arenas at their high-water mark, so a warm park + restore cycle is
-//! allocation-free too, and a warm cluster round allocates only the owned
+//! park table ([`SlabStore`]) holds its index pages, both payload arenas
+//! and its spill order at their high-water mark, so a warm park + restore
+//! cycle is allocation-free too, and a warm cluster round allocates only the owned
 //! byte vectors its public API hands out.
 //!
 //! The counter is global, so the file holds one `#[test]` that runs the
@@ -116,11 +116,11 @@ fn warm_engine_roundtrip_allocates_per_worker() {
 
 /// pp-bench's store probe (`flowstore.*_park_restore_ns`): park `slots`
 /// payloads of 10 blocks, then merge and drain them all. Returns the
-/// allocation count of the last of `cycles` cycles.
-fn allocs_in_last_store_cycle(store: &mut dyn FlowStore, slots: usize, cycles: u16) -> u64 {
+/// allocation count of each of `cycles` cycles.
+fn allocs_per_store_cycle(store: &mut dyn FlowStore, slots: usize, cycles: u16) -> Vec<u64> {
     let payload = [0xA5u8; 16];
     let mut out = [0u8; 16];
-    let mut last = 0;
+    let mut counts = Vec::with_capacity(cycles.into());
     for clk in 1..=cycles {
         let before = allocs();
         for slot in 0..slots {
@@ -135,19 +135,24 @@ fn allocs_in_last_store_cycle(store: &mut dyn FlowStore, slots: usize, cycles: u
                 store.load_block(slot, j, &mut out);
             }
         }
-        last = allocs() - before;
+        counts.push(allocs() - before);
         assert_eq!((out, store.occupancy()), (payload, 0));
     }
-    last
+    counts
 }
 
 fn warm_slab_store_never_allocates() {
     const N: usize = 4096;
-    let slab = allocs_in_last_store_cycle(&mut SlabStore::new(N, 10), N, 4);
+    let slab = allocs_per_store_cycle(&mut SlabStore::new(N, 10), N, 4)[3];
     assert_eq!(slab, 0, "4th park + restore cycle through SlabStore allocated {slab} times");
     let mut store = SlabStore::with_spill(N, 10, N / 16);
-    let spill = allocs_in_last_store_cycle(&mut store, N, 4);
+    let spill = allocs_per_store_cycle(&mut store, N, 4)[3];
     assert_eq!(spill, 0, "4th cycle through the spilling SlabStore allocated {spill} times");
+    // A hot tier that never fills: nothing demotes, so nothing pops the
+    // spill order, and it must still stop growing once warm.
+    let mut store = SlabStore::with_spill(N, 10, 2 * N);
+    let under = allocs_per_store_cycle(&mut store, N, 8);
+    assert_eq!(under[3..], [0; 5], "under-capacity spill store, cycles 4-8: {under:?}");
 }
 
 /// A warm round of pp-bench's `cluster_pressure`: 8 × 256-slot slices on

@@ -1,12 +1,14 @@
 //! Cluster-tier conformance (acceptance oracle for the distributed tier).
 //!
-//! Three pins, all on the shared 8-server slicing under seeded
-//! adversity:
+//! 1. **Anchor** — a one-switch cluster is *exactly* the register
+//!    reference on every cell of the shared adversity matrix
+//!    (`tests/matrix/mod.rs`), over each of the three stores. Everything
+//!    the cluster adds (routing, attachment, the mesh) must vanish at
+//!    N = 1.
 //!
-//! 1. **Anchor** — a one-switch cluster is *exactly* the scalar
-//!    reference: identical counters, statistics, occupancy, fault tally
-//!    and delivered byte set, for both store backends. Everything the
-//!    cluster adds (routing, attachment, the mesh) must vanish at N=1.
+//! The other pins are the ones only a multi-switch cluster has, all on
+//! the shared 8-server slicing under seeded adversity:
+//!
 //! 2. **Blackout** — at N ∈ {2, 4}, park a wave, kill one switch, and
 //!    run the adverse merge wave: the cluster-wide oracle holds (zero
 //!    leaked slots), the dead switch's share is charged at its front
@@ -15,12 +17,15 @@
 //!    migrations preserve occupancy, proxy-merges restore across the
 //!    mesh, departed history stays on the books, and the oracle holds
 //!    at every step.
+//! 4. **Spill migration** — spilled payloads survive join and leave
+//!    byte-identical to the scalar reference.
+
+mod matrix;
 
 use payloadpark::CounterSnapshot;
 use pp_cluster::{Cluster, ClusterConfig, StoreKind};
-use pp_fastpath::{adverse_return_wave, SlicedTestbed};
+use pp_fastpath::{adverse_return_wave, PathResult, SlicedTestbed};
 use pp_netsim::adversity::{AdversityProfile, FaultTally, LegProfile};
-use pp_rmt::switch::SwitchOutput;
 
 const SLICES: usize = 8;
 const SLOTS: usize = 48;
@@ -43,63 +48,31 @@ fn adversity() -> AdversityProfile {
     }
 }
 
-fn canonical(outs: Vec<SwitchOutput>) -> Vec<(u64, Vec<u8>)> {
-    let mut set: Vec<(u64, Vec<u8>)> = outs.into_iter().map(|o| (o.seq, o.bytes)).collect();
-    set.sort();
-    set
-}
-
-#[test]
-fn one_switch_cluster_is_the_scalar_reference() {
-    let inputs = TB.counted_enterprise_wave(31, 2 * PACKETS);
-    let waves = [&inputs[..PACKETS], &inputs[PACKETS..]];
-    let adv = adversity();
-
-    let (mut sw, control) = TB.build_scalar();
-    let mut scalar_tally = FaultTally::default();
-    let mut scalar_out = Vec::new();
-    for wave in waves {
-        scalar_out.extend(TB.scalar_roundtrip_two_phase_adverse(
-            &mut sw,
-            wave,
-            &adv,
-            &mut scalar_tally,
-        ));
-    }
-    let scalar_out = canonical(scalar_out);
-    let scalar_counters = control.counters(&sw);
-    assert!(scalar_counters.splits > 0, "workload must park");
-
-    for cfg in [ClusterConfig::circular(1), ClusterConfig::slab(1)] {
-        let kind = format!("{:?}", cfg.store);
-        let mut cluster = build(cfg);
-        let mut tally = FaultTally::default();
-        let mut merged = Vec::new();
-        for wave in waves {
-            merged.extend(cluster.roundtrip_adverse(wave, TB.sink_mac(), &adv, &mut tally));
-        }
-        assert_eq!(tally, scalar_tally, "{kind}: fault tallies diverged");
-        assert_eq!(cluster.cluster_counters(), scalar_counters, "{kind}: counters diverged");
-        assert_eq!(cluster.cluster_stats(), sw.stats(), "{kind}: switch stats diverged");
-        assert_eq!(cluster.occupancy(), control.occupancy(&sw), "{kind}: occupancy diverged");
-        let merged = canonical(merged);
-        assert_eq!(merged.len(), scalar_out.len(), "{kind}: delivered count diverged");
-        for (c, s) in merged.iter().zip(&scalar_out) {
-            assert_eq!(c, s, "{kind}: delivered byte set diverged");
-        }
-        // And nothing clusterish happened: one switch needs no mesh.
-        assert_eq!(cluster.counters().proxy_merges, 0, "{kind}");
-        assert_eq!(cluster.counters().blackout_drops, 0, "{kind}");
-        cluster.check_oracle().assert_ok();
-    }
-}
-
 /// Balance check shared by the blackout cells: occupied slots must equal
 /// what the counters say is still parked.
 fn assert_no_leak(cluster: &Cluster, ctx: &str) {
     let t: CounterSnapshot = cluster.cluster_counters();
     assert_eq!(cluster.occupancy() as i64, t.outstanding(), "{ctx}: leaked slots");
     cluster.check_oracle().assert_ok();
+}
+
+#[test]
+fn one_switch_cluster_is_the_scalar_reference() {
+    for mixed in [false, true] {
+        matrix::run_matrix(mixed, |cell| {
+            for kind in matrix::STORES {
+                let cfg = ClusterConfig { store: kind, ..ClusterConfig::slab(1) };
+                let mut cluster = Cluster::new(&matrix::TB.config(), cfg).expect("cluster builds");
+                matrix::TB.wire(&mut |mac, port| cluster.l2_add(mac, port));
+                let got =
+                    cell.assert_conforms(&format!("1-switch cluster ({kind:?})"), &mut cluster);
+                // And nothing clusterish happened: one switch needs no mesh.
+                assert_eq!(cluster.counters().proxy_merges, 0, "{}", got.path);
+                assert_eq!(cluster.counters().blackout_drops, 0, "{}", got.path);
+                cluster.check_oracle().assert_ok();
+            }
+        });
+    }
 }
 
 #[test]
@@ -198,9 +171,9 @@ fn spill_tier_payloads_survive_rebalance_byte_identical() {
     let wave = TB.counted_enterprise_wave(36, PACKETS);
 
     // Scalar reference: the same wave, two-phase, no cluster, no churn.
-    let (mut sw, control) = TB.build_scalar();
-    let scalar_out = canonical(TB.scalar_roundtrip_two_phase(&mut sw, &wave));
-    assert!(control.counters(&sw).splits as usize > 2 * HOT, "wave must overflow the hot tier");
+    let calm = AdversityProfile::disabled();
+    let scalar = PathResult::run("scalar", &mut TB.build_scalar(), &[&wave], TB.sink_mac(), &calm);
+    assert!(scalar.counters.splits as usize > 2 * HOT, "wave must overflow the hot tier");
 
     let mut cluster = build(ClusterConfig {
         store: StoreKind::SlabSpill { hot_capacity: HOT },
@@ -241,11 +214,10 @@ fn spill_tier_payloads_survive_rebalance_byte_identical() {
             pkt
         })
         .collect();
-    let merged = canonical(cluster.process_return_wave(back));
-    assert_eq!(merged.len(), scalar_out.len(), "delivered count diverged");
-    for (c, s) in merged.iter().zip(&scalar_out) {
-        assert_eq!(c, s, "delivered byte set diverged");
-    }
+    let merged = cluster.process_return_wave(back);
+    let merged = PathResult::capture("cluster", &mut cluster, merged, FaultTally::default());
+    assert_eq!(merged.delivered.len(), scalar.delivered.len(), "delivered count diverged");
+    assert!(merged.delivered == scalar.delivered, "delivered set diverged");
     assert_eq!(cluster.occupancy(), 0, "merges left flows parked");
     assert_eq!(cluster.spilled(), 0, "spill gauge leaked after restore");
     cluster.check_oracle().assert_ok();

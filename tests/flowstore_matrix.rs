@@ -2,205 +2,52 @@
 //!
 //! The park table is behind the [`payloadpark::FlowStore`] trait; the
 //! dataplane program must not care which store implementation backs it.
-//! This suite drives the full scenario matrix of `adversity_matrix.rs` —
-//! loss, bounded reordering, duplication, truncation, scripted
-//! blackouts, their combination, and payload corruption, all under the
-//! identical seeded misfortune — through four single-switch builds of
-//! the same deployment:
-//!
-//! 1. the register-backed reference (`build_switch`),
-//! 2. the store program over the circular-buffer store,
-//! 3. the store program over the generational slab store, and
-//! 4. the slab store with a deliberately tiny hot tier, so cold parked
-//!    payloads demote to the spill tier mid-run.
-//!
-//! Every path must be *exactly* equivalent: identical counter totals,
-//! identical switch statistics, identical occupancy, identical fault
-//! tallies, and an identical delivered byte set. A dedicated probe
-//! pins that the tiny hot tier really does demote payloads mid-wave —
-//! otherwise the spill cells would prove nothing.
+//! Every scenario of the shared matrix (`tests/matrix/mod.rs`) is driven
+//! through the store program over the circular-buffer store, the
+//! generational slab store, and the slab store with a deliberately tiny
+//! hot tier, so cold parked payloads demote to the spill tier mid-run.
+//! Each must equal the register reference exactly and pass the
+//! conformance oracle. A dedicated probe pins that the tiny hot tier
+//! really does demote payloads mid-wave — otherwise the spill cells would
+//! prove nothing.
 
+mod matrix;
+
+use matrix::{run_matrix, Cell, STORES, TB, WAVE_PACKETS, WAVE_SEED};
 use payloadpark::flowstore::shared;
-use payloadpark::{
-    build_store_switch, oracle, CircularStore, CounterSnapshot, SlabStore, StoreControl,
-};
-use pp_fastpath::SlicedTestbed;
-use pp_netsim::adversity::{AdversityProfile, FaultTally, LegProfile, SeqWindow};
-use pp_rmt::switch::{BatchPacket, SwitchOutput, SwitchStats};
+use payloadpark::{build_store_switch, CircularStore, SlabStore, StoreControl};
+use pp_cluster::StoreKind;
+use pp_rmt::switch::SwitchModel;
 
-const SCENARIO_SEED: u64 = 77;
-const WAVE_SEED: u64 = 9;
-/// Two waves of 200: the second wave wraps the 4 × 48-slot table and
-/// ages out whatever the first wave's adversity orphaned.
-const WAVE_PACKETS: usize = 200;
-const TB: SlicedTestbed = SlicedTestbed { slices: 4, slots: 48 };
-
-/// The adversity matrix, verbatim from `adversity_matrix.rs`.
-fn scenarios() -> Vec<(&'static str, AdversityProfile)> {
-    let base = AdversityProfile { seed: SCENARIO_SEED, ..Default::default() };
-    vec![
-        ("loss", AdversityProfile { from_nf: LegProfile::loss(0.25), ..base.clone() }),
-        (
-            "reorder",
-            AdversityProfile {
-                from_nf: LegProfile { reorder: 0.5, max_displacement: 40, ..Default::default() },
-                ..base.clone()
-            },
-        ),
-        (
-            "dup",
-            AdversityProfile {
-                from_nf: LegProfile { duplicate: 0.3, ..Default::default() },
-                ..base.clone()
-            },
-        ),
-        (
-            "truncate",
-            AdversityProfile {
-                from_nf: LegProfile { truncate: 0.3, ..Default::default() },
-                ..base.clone()
-            },
-        ),
-        (
-            "blackout",
-            AdversityProfile {
-                from_nf: LegProfile {
-                    blackouts: vec![SeqWindow { from: 60, to: 140 }],
-                    ..Default::default()
-                },
-                ..base.clone()
-            },
-        ),
-        (
-            "combined",
-            AdversityProfile {
-                to_nf: LegProfile::loss(0.05),
-                from_nf: LegProfile {
-                    drop: 0.15,
-                    duplicate: 0.15,
-                    truncate: 0.15,
-                    reorder: 0.3,
-                    max_displacement: 24,
-                    ..Default::default()
-                },
-                ..base.clone()
-            },
-        ),
-        (
-            "corrupt",
-            AdversityProfile { from_nf: LegProfile { corrupt: 0.4, ..Default::default() }, ..base },
-        ),
-    ]
-}
-
-/// Canonical delivered *set*: reordering legitimately permutes arrival
-/// order, so paths are compared on sorted (seq, bytes) pairs.
-fn canonical(outs: Vec<SwitchOutput>) -> Vec<(u64, Vec<u8>)> {
-    let mut set: Vec<(u64, Vec<u8>)> = outs.into_iter().map(|o| (o.seq, o.bytes)).collect();
-    set.sort();
-    set
-}
-
-#[derive(Debug)]
-struct PathResult {
-    delivered: Vec<(u64, Vec<u8>)>,
-    counters: CounterSnapshot,
-    stats: SwitchStats,
-    occupancy: usize,
-    tally: FaultTally,
-}
-
-fn register_run(waves: &[&[BatchPacket]], adv: &AdversityProfile) -> PathResult {
-    let (mut sw, control) = TB.build_scalar();
-    let mut tally = FaultTally::default();
-    let mut delivered = Vec::new();
-    for wave in waves {
-        delivered.extend(TB.scalar_roundtrip_two_phase_adverse(&mut sw, wave, adv, &mut tally));
-    }
-    PathResult {
-        delivered: canonical(delivered),
-        counters: control.counters(&sw),
-        stats: sw.stats(),
-        occupancy: control.occupancy(&sw),
-        tally,
-    }
-}
-
-fn store_run(
-    waves: &[&[BatchPacket]],
-    adv: &AdversityProfile,
-    store: payloadpark::SharedStore,
-) -> PathResult {
-    let (mut sw, control): (_, StoreControl) =
-        build_store_switch(&TB.config(), store).expect("store switch builds");
-    TB.wire(&mut |mac, port| sw.l2_add(mac, port));
-    let mut tally = FaultTally::default();
-    let mut delivered = Vec::new();
-    for wave in waves {
-        delivered.extend(TB.scalar_roundtrip_two_phase_adverse(&mut sw, wave, adv, &mut tally));
-    }
-    PathResult {
-        delivered: canonical(delivered),
-        counters: control.counters(&sw),
-        stats: sw.stats(),
-        occupancy: control.occupancy(),
-        tally,
-    }
-}
-
-fn assert_equivalent(name: &str, kind: &str, reference: &PathResult, got: &PathResult) {
-    let ctx = format!("{name} ({kind})");
-    assert_eq!(got.tally, reference.tally, "{ctx}: fault tallies diverged");
-    assert_eq!(got.counters, reference.counters, "{ctx}: counters diverged");
-    assert_eq!(got.stats, reference.stats, "{ctx}: switch stats diverged");
-    assert_eq!(got.occupancy, reference.occupancy, "{ctx}: occupancy diverged");
-    assert_eq!(got.delivered.len(), reference.delivered.len(), "{ctx}: delivered count diverged");
-    for (g, r) in got.delivered.iter().zip(&reference.delivered) {
-        assert_eq!(g, r, "{ctx}: delivered byte set diverged");
-    }
-    oracle::check_counters(&got.counters, got.occupancy).assert_ok();
-}
-
-fn run_matrix(mixed: bool) {
+/// The store program over `kind`, L2 wired.
+fn store_switch(kind: StoreKind) -> (SwitchModel, StoreControl) {
     let cfg = TB.config();
-    let total_slots = cfg.pipes[0].total_slots();
-    let blocks = cfg.primary_blocks;
-    let inputs = if mixed {
-        TB.counted_mixed_wave(WAVE_SEED, 2 * WAVE_PACKETS)
-    } else {
-        TB.counted_enterprise_wave(WAVE_SEED, 2 * WAVE_PACKETS)
+    let (slots, blocks) = (cfg.pipes[0].total_slots(), cfg.primary_blocks);
+    let store = match kind {
+        StoreKind::Circular => shared(CircularStore::new(slots, blocks)),
+        StoreKind::Slab => shared(SlabStore::new(slots, blocks)),
+        StoreKind::SlabSpill { hot_capacity } => {
+            shared(SlabStore::with_spill(slots, blocks, hot_capacity))
+        }
     };
-    let waves = [&inputs[..WAVE_PACKETS], &inputs[WAVE_PACKETS..]];
+    let mut dp = build_store_switch(&cfg, store).expect("store switch builds");
+    TB.wire(&mut |mac, port| dp.0.l2_add(mac, port));
+    dp
+}
 
-    for (name, adv) in scenarios() {
-        let reference = register_run(&waves, &adv);
-        assert!(reference.counters.splits > 0, "{name}: workload must park");
-
-        let circular = store_run(&waves, &adv, shared(CircularStore::new(total_slots, blocks)));
-        assert_equivalent(name, "circular", &reference, &circular);
-
-        let slab = store_run(&waves, &adv, shared(SlabStore::new(total_slots, blocks)));
-        assert_equivalent(name, "slab", &reference, &slab);
-
-        // A hot tier of 8 payloads against ~200 parked flows: the slab
-        // demotes constantly, and must still be byte-identical.
-        let spilling =
-            store_run(&waves, &adv, shared(SlabStore::with_spill(total_slots, blocks, 8)));
-        assert_equivalent(name, "slab+spill", &reference, &spilling);
+fn store_columns(cell: &Cell<'_>) {
+    for kind in STORES {
+        cell.assert_conforms(&format!("store ({kind:?})"), &mut store_switch(kind));
     }
 }
 
-/// The spill cells above only prove something if the tiny hot tier
-/// actually demotes. Park a full wave (split phase only, nothing merges
-/// back yet) and watch the gauge: everything beyond the 8 hottest
-/// payloads must sit in the spill tier.
+/// The spill cells only prove something if the tiny hot tier actually
+/// demotes. Park a full wave (split phase only, nothing merges back yet)
+/// and watch the gauge: everything beyond the 8 hottest payloads must sit
+/// in the spill tier.
 #[test]
 fn tiny_hot_tier_demotes_mid_wave() {
-    let cfg = TB.config();
-    let total_slots = cfg.pipes[0].total_slots();
-    let store = shared(SlabStore::with_spill(total_slots, cfg.primary_blocks, 8));
-    let (mut sw, control) = build_store_switch(&TB.config(), store).expect("store switch builds");
-    TB.wire(&mut |mac, port| sw.l2_add(mac, port));
+    let (mut sw, control) = store_switch(StoreKind::SlabSpill { hot_capacity: 8 });
     let wave = TB.counted_enterprise_wave(WAVE_SEED, WAVE_PACKETS);
     let mut outs = Vec::new();
     for pkt in &wave {
@@ -223,10 +70,10 @@ fn tiny_hot_tier_demotes_mid_wave() {
 
 #[test]
 fn store_swap_is_invisible_on_udp_only_waves() {
-    run_matrix(false);
+    run_matrix(false, store_columns);
 }
 
 #[test]
 fn store_swap_is_invisible_on_mixed_tcp_udp_waves() {
-    run_matrix(true);
+    run_matrix(true, store_columns);
 }

@@ -4,14 +4,14 @@
 //! zero premature evictions.
 
 use payloadpark::program::{build_baseline_switch, build_switch};
-use payloadpark::{oracle, CounterSnapshot, ParkConfig, PipeControl};
-use pp_fastpath::{adverse_return_wave, reflect_outputs, EngineConfig, SlicedTestbed};
-use pp_netsim::adversity::{AdversityProfile, FaultTally, LegProfile};
+use payloadpark::{ParkConfig, PipeControl};
+use pp_fastpath::{Dataplane, EngineConfig, PathResult, SlicedTestbed};
+use pp_netsim::adversity::{AdversityProfile, LegProfile};
 use pp_netsim::time::SimDuration;
 use pp_packet::pcap::{captures_identical, PcapReader, PcapRecord, PcapWriter};
 use pp_packet::{MacAddr, Packet, ParsedPacket};
 use pp_rmt::chip::ChipProfile;
-use pp_rmt::switch::{BatchPacket, SwitchModel, SwitchOutput};
+use pp_rmt::switch::{BatchPacket, SwitchModel};
 use pp_rmt::PortId;
 use pp_trafficgen::gen::{GenConfig, SizeModel, TrafficGen, TrafficMix};
 use proptest::prelude::*;
@@ -158,29 +158,33 @@ fn equivalence_holds_with_recirculation() {
 // ---------------------------------------------------------------------
 // pp_fastpath equivalence oracle: for any seeded enterprise traffic mix,
 // the sharded, batched engine must produce the same counter totals and
-// byte-identical merged payloads as the scalar pipeline.
+// identical merged outputs (bytes, egress port, latency) as the scalar
+// pipeline.
 // ---------------------------------------------------------------------
 
-/// Two-phase reference: every packet splits through the scalar switch,
-/// then every server return merges, in arrival order.
-fn fp_scalar(tb: &SlicedTestbed, inputs: &[BatchPacket]) -> (Vec<SwitchOutput>, CounterSnapshot) {
-    let (mut sw, control) = tb.build_scalar();
-    let merged = tb.scalar_roundtrip_two_phase(&mut sw, inputs);
-    let counters = control.counters(&sw);
-    (merged, counters)
-}
-
-/// The same two phases through the sharded, batched engine.
-fn fp_engine(
+/// Drives `inputs` two-phase under `adv` through the scalar switch and
+/// the sharded, batched engine at 2 and 4 workers: each engine must equal
+/// the scalar path exactly — every delivered output, egress port
+/// included — and every path must pass the conformance oracle with
+/// checksum verification of every delivered packet.
+fn engine_matches_scalar(
     tb: &SlicedTestbed,
-    inputs: Vec<BatchPacket>,
-    workers: usize,
-) -> (Vec<SwitchOutput>, CounterSnapshot) {
-    let mut engine = tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
-    let to_servers = engine.process(inputs);
-    let back = reflect_outputs(to_servers.iter(), tb.sink_mac());
-    let merged = engine.process(back);
-    (merged.to_seq_sorted(), engine.counters())
+    inputs: &[BatchPacket],
+    adv: &AdversityProfile,
+) -> Result<(), TestCaseError> {
+    let drive = |path: &str, dp: &mut dyn Dataplane| {
+        PathResult::run(path, dp, &[inputs], tb.sink_mac(), adv)
+    };
+    let scalar = drive("scalar", &mut tb.build_scalar());
+    prop_assert!(scalar.counters.splits > 0, "workload must exercise parking");
+    scalar.check_oracle(true).map_err(TestCaseError::fail)?;
+    for workers in [2usize, 4] {
+        let mut engine =
+            tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
+        let got = drive(&format!("engine ({workers} workers)"), &mut engine);
+        got.diff(&scalar).and_then(|()| got.check_oracle(true)).map_err(TestCaseError::fail)?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -188,11 +192,11 @@ proptest! {
 
     /// §6.2.6, extended to the execution engine and the mixed TCP+UDP
     /// enterprise workload: sharded-batched output must match the scalar
-    /// pipeline *exactly* — counter totals and byte-identical merged
-    /// payloads — at 2 and 4 shards, including mixes that wrap the
-    /// circular buffers (evictions and premature evictions of TCP-parked
-    /// slots must then be identical too). Every merged packet must carry
-    /// valid IPv4 and transport checksums.
+    /// pipeline *exactly* — counter totals and identical merged outputs,
+    /// egress port included — at 2 and 4 shards, including mixes that
+    /// wrap the circular buffers (evictions and premature evictions of
+    /// TCP-parked slots must then be identical too). Every merged packet
+    /// must carry valid IPv4 and transport checksums.
     #[test]
     fn fastpath_matches_scalar_pipeline_on_mixed_traffic(
         seed in any::<u64>(),
@@ -206,31 +210,7 @@ proptest! {
             .filter(|p| ParsedPacket::parse(&p.bytes).unwrap().five_tuple().protocol == 6)
             .count();
         prop_assert!(tcp > 0 && tcp < inputs.len(), "need a genuine mix: {}", tcp);
-        let (scalar_merged, scalar_counters) = fp_scalar(&tb, &inputs);
-        prop_assert!(scalar_counters.splits > 0, "workload must exercise parking");
-        for out in &scalar_merged {
-            let parsed = ParsedPacket::parse(&out.bytes).unwrap();
-            prop_assert!(
-                parsed.verify_checksums(),
-                "bad checksum on merged seq {} ({})", out.seq, parsed.five_tuple()
-            );
-        }
-
-        for workers in [2usize, 4] {
-            let (engine_merged, engine_counters) =
-                fp_engine(&tb, inputs.clone(), workers);
-            prop_assert_eq!(
-                &engine_counters, &scalar_counters,
-                "counter totals diverged at {} workers", workers
-            );
-            prop_assert_eq!(
-                engine_merged.len(), scalar_merged.len(),
-                "merged packet count diverged at {} workers", workers
-            );
-            for (e, s) in engine_merged.iter().zip(&scalar_merged) {
-                prop_assert_eq!(e, s, "merged payload diverged at {} workers", workers);
-            }
-        }
+        engine_matches_scalar(&tb, &inputs, &AdversityProfile::disabled())?;
     }
 }
 
@@ -241,7 +221,7 @@ proptest! {
     /// duplication, truncation and bounded reordering on the internal NF
     /// legs, the sharded engine at 2 and 4 workers must agree with the
     /// scalar pipeline *exactly* — identical counter totals, identical
-    /// fault tallies, and identical delivered byte sets — because every
+    /// fault tallies, and identical delivered sets — because every
     /// fault decision is a pure function of `(seed, leg, seq)`. The
     /// conformance oracle (no slot leaks, counters balance, delivered
     /// packets verify) must hold on every path.
@@ -276,61 +256,7 @@ proptest! {
                 ..Default::default()
             },
         };
-
-        // Scalar two-phase reference under the scenario.
-        let (mut sw, control) = tb.build_scalar();
-        let mut scalar_tally = FaultTally::default();
-        let scalar_merged =
-            tb.scalar_roundtrip_two_phase_adverse(&mut sw, &inputs, &adv, &mut scalar_tally);
-        let scalar_counters = control.counters(&sw);
-        let scalar_occupancy = control.occupancy(&sw);
-        prop_assert!(scalar_counters.splits > 0, "workload must exercise parking");
-        let report = oracle::check_wave(
-            &scalar_counters,
-            scalar_occupancy,
-            scalar_merged.iter().map(|o| o.bytes.as_slice()),
-        );
-        prop_assert!(report.ok(), "scalar oracle: {:?}", report.violations());
-
-        let canonical = |mut outs: Vec<(u64, Vec<u8>)>| {
-            outs.sort();
-            outs
-        };
-        let scalar_set =
-            canonical(scalar_merged.into_iter().map(|o| (o.seq, o.bytes)).collect());
-
-        for workers in [2usize, 4] {
-            let mut engine =
-                tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
-            let mut tally = FaultTally::default();
-            let outs = engine
-                .process(inputs.clone())
-                .to_seq_sorted()
-                .into_iter()
-                .map(BatchPacket::from)
-                .collect();
-            let back = adverse_return_wave(&adv, outs, tb.sink_mac(), &mut tally);
-            let merged = engine.process(back);
-            prop_assert_eq!(&tally, &scalar_tally, "tallies diverged at {} workers", workers);
-            prop_assert_eq!(
-                &engine.counters(), &scalar_counters,
-                "counters diverged at {} workers", workers
-            );
-            prop_assert_eq!(
-                engine.occupancy(), scalar_occupancy,
-                "occupancy diverged at {} workers", workers
-            );
-            let engine_set = canonical(
-                merged.to_seq_sorted().into_iter().map(|o| (o.seq, o.bytes)).collect(),
-            );
-            prop_assert_eq!(
-                engine_set.len(), scalar_set.len(),
-                "delivered count diverged at {} workers", workers
-            );
-            for (e, s) in engine_set.iter().zip(&scalar_set) {
-                prop_assert_eq!(e, s, "delivered byte set diverged at {} workers", workers);
-            }
-        }
+        engine_matches_scalar(&tb, &inputs, &adv)?;
     }
 }
 
