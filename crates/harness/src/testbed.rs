@@ -29,7 +29,7 @@ use pp_nf::nfs::{MacSwap, Nat, Synthetic};
 use pp_nf::server::{NfServer, RxOutcome, ServerProfile};
 use pp_packet::{MacAddr, Packet};
 use pp_rmt::chip::ChipProfile;
-use pp_rmt::switch::SwitchModel;
+use pp_rmt::switch::{BatchOutput, SwitchModel};
 use pp_trafficgen::gen::{GenConfig, SizeModel, TrafficGen, TrafficMix};
 use std::net::Ipv4Addr;
 
@@ -405,6 +405,8 @@ pub fn run(config: &TestbedConfig) -> RunReport {
     let mut next_gen: Option<(SimTime, Packet)> = Some(gen.next_packet());
     let adversity = &config.adversity;
     let mut fault_tally = FaultTally::default();
+    // The switch's egress arena, reused by every pass.
+    let mut switched = BatchOutput::new();
 
     loop {
         // Interleave generation with event processing in time order.
@@ -439,10 +441,11 @@ pub fn run(config: &TestbedConfig) -> RunReport {
         let (now, ev) = queue.pop().expect("checked above");
         match ev {
             Ev::Switch { port, pkt } => {
-                let seq = pkt.seq();
-                for out in switch.process(pkt.bytes(), pp_rmt::PortId(port), seq) {
+                switched.clear();
+                switch.process_into(pkt.bytes(), pp_rmt::PortId(port), pkt.seq(), &mut switched);
+                for out in switched.iter() {
                     let t_out = now + SimDuration::from_nanos(out.latency_ns);
-                    let mut fwd = Packet::with_seq(out.bytes, out.seq);
+                    let mut fwd = Packet::with_seq(out.bytes.to_vec(), out.seq);
                     match out.port.0 {
                         SERVER_PORT => {
                             // The switch → NF leg is where the adversity

@@ -82,25 +82,30 @@ impl MaglevLb {
 
     /// The Maglev population algorithm (§3.4 of the Maglev paper).
     fn populate(backends: &[Backend], m: usize) -> Vec<u32> {
-        let n = backends.len();
-        let mut permutation = Vec::with_capacity(n);
-        for b in backends {
-            let offset = fnv1a(0x5bd1e995, b.name.as_bytes()) as usize % m;
-            let skip = fnv1a(0xc2b2ae35, b.name.as_bytes()) as usize % (m - 1) + 1;
-            permutation.push((offset, skip));
-        }
-        let mut next = vec![0usize; n];
+        // Backend i's permutation is `(offset + j·skip) mod m` for j = 0, 1,
+        // …; `cursor[i]` holds its next term, advanced by one add and a
+        // conditional subtract instead of a multiply and a division.
+        let (mut cursor, skips): (Vec<usize>, Vec<usize>) = backends
+            .iter()
+            .map(|b| {
+                let offset = fnv1a(0x5bd1e995, b.name.as_bytes()) as usize % m;
+                let skip = fnv1a(0xc2b2ae35, b.name.as_bytes()) as usize % (m - 1) + 1;
+                (offset, skip)
+            })
+            .unzip();
         let mut entry = vec![u32::MAX; m];
         let mut filled = 0usize;
         while filled < m {
-            for i in 0..n {
+            for (i, (c, &skip)) in cursor.iter_mut().zip(&skips).enumerate() {
                 // Walk backend i's permutation to its next free slot.
                 loop {
-                    let (offset, skip) = permutation[i];
-                    let c = (offset + next[i] * skip) % m;
-                    next[i] += 1;
-                    if entry[c] == u32::MAX {
-                        entry[c] = i as u32;
+                    let slot = *c;
+                    *c += skip;
+                    if *c >= m {
+                        *c -= m;
+                    }
+                    if entry[slot] == u32::MAX {
+                        entry[slot] = i as u32;
                         filled += 1;
                         break;
                     }
@@ -277,6 +282,47 @@ mod tests {
         }
         // The vast majority of surviving flows keep their backend.
         assert!(stable as f64 / total as f64 > 0.75, "{stable}/{total}");
+    }
+
+    /// The population algorithm as the Maglev paper states it, `%` per probe.
+    fn populate_spec(backends: &[Backend], m: usize) -> Vec<u32> {
+        let perm: Vec<(usize, usize)> = backends
+            .iter()
+            .map(|b| {
+                let offset = fnv1a(0x5bd1e995, b.name.as_bytes()) as usize % m;
+                let skip = fnv1a(0xc2b2ae35, b.name.as_bytes()) as usize % (m - 1) + 1;
+                (offset, skip)
+            })
+            .collect();
+        let mut next = vec![0usize; backends.len()];
+        let mut entry = vec![u32::MAX; m];
+        let mut filled = 0;
+        while filled < m {
+            for (i, &(offset, skip)) in perm.iter().enumerate() {
+                let mut c = (offset + next[i] * skip) % m;
+                while entry[c] != u32::MAX {
+                    next[i] += 1;
+                    c = (offset + next[i] * skip) % m;
+                }
+                next[i] += 1;
+                entry[c] = i as u32;
+                filled += 1;
+                if filled == m {
+                    break;
+                }
+            }
+        }
+        entry
+    }
+
+    #[test]
+    fn cursor_population_equals_the_modulo_spec() {
+        for m in [7, 251, DEFAULT_TABLE_SIZE] {
+            for n in 1..=5 {
+                let b = backends(n);
+                assert_eq!(MaglevLb::populate(&b, m), populate_spec(&b, m), "m {m} n {n}");
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct UdpPacketBuilder {
     dst_port: u16,
     ttl: u8,
     ident: u16,
-    payload: Vec<u8>,
+    payload: Payload,
     fill_udp_checksum: bool,
 }
 
@@ -37,7 +37,7 @@ impl Default for UdpPacketBuilder {
             dst_port: 2000,
             ttl: 64,
             ident: 0,
-            payload: Vec::new(),
+            payload: Payload::default(),
             fill_udp_checksum: true,
         }
     }
@@ -99,14 +99,15 @@ impl UdpPacketBuilder {
 
     /// Sets the UDP payload bytes.
     pub fn payload(mut self, bytes: &[u8]) -> Self {
-        self.payload = bytes.to_vec();
+        self.payload = Payload::Bytes(bytes.to_vec());
         self
     }
 
     /// Sets a payload of `len` bytes with a deterministic pattern derived
-    /// from `seed` — cheap, reproducible and content-checkable.
+    /// from `seed` — cheap, reproducible and content-checkable. The bytes
+    /// are [`pattern`]'s, written straight into the frame at build time.
     pub fn patterned_payload(mut self, len: usize, seed: u64) -> Self {
-        self.payload = pattern(len, seed);
+        self.payload = Payload::Pattern { len, seed };
         self
     }
 
@@ -163,7 +164,7 @@ impl UdpPacketBuilder {
             let mut udp = UdpHeader::new_checked(&mut *udp_bytes).expect("length preset");
             udp.set_src_port(self.src_port);
             udp.set_dst_port(self.dst_port);
-            udp.payload_mut().copy_from_slice(&self.payload);
+            self.payload.write(udp.payload_mut());
             if self.fill_udp_checksum {
                 udp.fill_checksum(u32::from(self.src_ip), u32::from(self.dst_ip));
             }
@@ -191,7 +192,7 @@ pub struct TcpPacketBuilder {
     tcp_seq: u32,
     tcp_ack: u32,
     flags: u8,
-    payload: Vec<u8>,
+    payload: Payload,
 }
 
 impl Default for TcpPacketBuilder {
@@ -208,7 +209,7 @@ impl Default for TcpPacketBuilder {
             tcp_seq: 0,
             tcp_ack: 0,
             flags: TcpFlags::ACK,
-            payload: Vec::new(),
+            payload: Payload::default(),
         }
     }
 }
@@ -303,13 +304,13 @@ impl TcpPacketBuilder {
 
     /// Sets the TCP payload bytes.
     pub fn payload(mut self, bytes: &[u8]) -> Self {
-        self.payload = bytes.to_vec();
+        self.payload = Payload::Bytes(bytes.to_vec());
         self
     }
 
     /// Sets a payload of `len` bytes patterned from `seed`.
     pub fn patterned_payload(mut self, len: usize, seed: u64) -> Self {
-        self.payload = pattern(len, seed);
+        self.payload = Payload::Pattern { len, seed };
         self
     }
 
@@ -360,7 +361,7 @@ impl TcpPacketBuilder {
             tcp.set_ack(self.tcp_ack);
             tcp.set_flags(self.flags);
             let buf = tcp.into_inner();
-            buf[TCP_HEADER_LEN..].copy_from_slice(&self.payload);
+            self.payload.write(&mut buf[TCP_HEADER_LEN..]);
             let mut tcp = TcpHeader::new_checked(&mut *buf).expect("offset preset");
             tcp.fill_checksum(u32::from(self.src_ip), u32::from(self.dst_ip));
         }
@@ -369,21 +370,152 @@ impl TcpPacketBuilder {
     }
 }
 
+/// What a builder puts after the headers: explicit bytes, or a pattern
+/// recorded as `(len, seed)` and filled straight into the frame.
+#[derive(Debug, Clone)]
+enum Payload {
+    Bytes(Vec<u8>),
+    Pattern { len: usize, seed: u64 },
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Bytes(Vec::new())
+    }
+}
+
+impl Payload {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Pattern { len, .. } => *len,
+        }
+    }
+
+    /// Writes the payload into `out`, which is exactly [`Payload::len`] long.
+    fn write(&self, out: &mut [u8]) {
+        match self {
+            Payload::Bytes(b) => out.copy_from_slice(b),
+            Payload::Pattern { seed, .. } => fill_pattern(out, *seed),
+        }
+    }
+}
+
 /// Deterministic byte pattern used for payload content checks.
 ///
 /// Each byte is a simple function of its index and the seed so the
 /// functional-equivalence test (paper §6.2.6) can verify that Split + Merge
-/// restores every payload byte.
+/// restores every payload byte. See [`fill_pattern`] for the contract.
 pub fn pattern(len: usize, seed: u64) -> Vec<u8> {
-    let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
-    (0..len)
-        .map(|i| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as u8).wrapping_add(i as u8)
-        })
-        .collect()
+    let mut out = vec![0u8; len];
+    fill_pattern(&mut out, seed);
+    out
+}
+
+/// Lanes [`fill_pattern`] steps in lockstep.
+const LANES: usize = 8;
+/// Bytes one lane produces per run (whole packed `u64` stores).
+const BLOCK: usize = 32;
+
+/// One xorshift64 step.
+const fn step(s: u64) -> u64 {
+    let s = s ^ (s << 13);
+    let s = s ^ (s >> 7);
+    s ^ (s << 17)
+}
+
+/// `BLOCK` xorshift64 steps at once. The step is linear over GF(2), so
+/// `BLOCK` of them are a fixed 64×64 bit matrix; `JUMP[t][b]` is that
+/// matrix applied to byte `t` of the state holding `b`, and a jump XORs
+/// the eight byte slices together.
+static JUMP: [[u64; 256]; 8] = {
+    let mut table = [[0u64; 256]; 8];
+    let mut t = 0;
+    while t < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let mut s = (b as u64) << (8 * t);
+            let mut i = 0;
+            while i < BLOCK {
+                s = step(s);
+                i += 1;
+            }
+            table[t][b] = s;
+            b += 1;
+        }
+        t += 1;
+    }
+    table
+};
+
+fn jump(s: u64) -> u64 {
+    let b = s.to_le_bytes();
+    (0..8).fold(0, |acc, t| acc ^ JUMP[t][usize::from(b[t])])
+}
+
+/// Bytewise wrapping add of two packed `u64`s (no carry between bytes).
+fn add_bytes(a: u64, b: u64) -> u64 {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    ((a & !HIGH) + (b & !HIGH)) ^ ((a ^ b) & HIGH)
+}
+
+/// Fills `out` with the deterministic payload pattern of `seed`.
+///
+/// The contract: with `s₀ = max(seed · 0x9E3779B97F4A7C15, 1)` and `sᵢ₊₁`
+/// one xorshift64 (13, 7, 17) step after `sᵢ`, byte `i` is the low byte of
+/// `sᵢ₊₁` plus `i`, both mod 256. The state chain is serial, so the fill
+/// runs it as jump-ahead lanes instead: runs of up to `LANES` blocks of
+/// `BLOCK` bytes, lane `k` starting `k · BLOCK` steps in (one [`jump`]
+/// from lane `k − 1`), all lanes stepping together and storing eight
+/// bytes at a time. Under one block is left at the end; it runs serially.
+pub fn fill_pattern(out: &mut [u8], seed: u64) {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+    let mut pos = 0;
+    fill_runs::<LANES>(out, &mut pos, &mut state);
+    fill_runs::<4>(out, &mut pos, &mut state);
+    fill_runs::<2>(out, &mut pos, &mut state);
+    fill_runs::<1>(out, &mut pos, &mut state);
+    for (i, byte) in out.iter_mut().enumerate().skip(pos) {
+        state = step(state);
+        *byte = (state as u8).wrapping_add(i as u8);
+    }
+}
+
+/// Fills `N`-lane runs from `out[*pos..]` while a whole run fits,
+/// advancing `pos` and `state` (the state before byte `pos`) past them.
+fn fill_runs<const N: usize>(out: &mut [u8], pos: &mut usize, state: &mut u64) {
+    const SPLAT: u64 = 0x0101_0101_0101_0101;
+    const RAMP: u64 = 0x0706_0504_0302_0100;
+    while out.len() - *pos >= N * BLOCK {
+        let run = &mut out[*pos..*pos + N * BLOCK];
+        let mut lanes = [*state; N];
+        for k in 1..N {
+            lanes[k] = jump(lanes[k - 1]);
+        }
+        for word in 0..BLOCK / 8 {
+            let mut packed = [0u64; N];
+            for byte in 0..8 {
+                // One operation across all lanes at a time: the form the
+                // compiler turns into vector instructions.
+                lanes.iter_mut().for_each(|l| *l ^= *l << 13);
+                lanes.iter_mut().for_each(|l| *l ^= *l >> 7);
+                lanes.iter_mut().for_each(|l| *l ^= *l << 17);
+                for (p, l) in packed.iter_mut().zip(&lanes) {
+                    *p |= (l & 0xff) << (8 * byte);
+                }
+            }
+            for (k, p) in packed.into_iter().enumerate() {
+                let at = k * BLOCK + 8 * word;
+                // `*pos + at` is a multiple of 8, so its low byte plus
+                // 0..8 never carries: the `+ i` for eight bytes at once.
+                let index = u64::from((*pos + at) as u8) * SPLAT + RAMP;
+                run[at..at + 8].copy_from_slice(&add_bytes(p, index).to_le_bytes());
+            }
+        }
+        // The last lane ends where the next run starts.
+        *state = lanes[N - 1];
+        *pos += N * BLOCK;
+    }
 }
 
 #[cfg(test)]
@@ -431,6 +563,51 @@ mod tests {
     #[should_panic(expected = "below header stack")]
     fn total_size_below_headers_panics() {
         let _ = UdpPacketBuilder::new().total_size(41, 0);
+    }
+
+    /// The pattern contract run as the serial state chain it defines.
+    fn pattern_spec(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
+        (0..len)
+            .map(|i| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state as u8).wrapping_add(i as u8)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_fill_equals_the_serial_spec_at_every_length() {
+        // Every run shape: whole 8-lane runs, each 4/2/1-lane remainder,
+        // and every serial tail, twice over.
+        for seed in [0, 1, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
+            let spec = pattern_spec(2 * LANES * BLOCK + 63, seed);
+            for len in 0..=spec.len() {
+                let mut out = vec![0xAA; len];
+                fill_pattern(&mut out, seed);
+                assert_eq!(out, spec[..len], "len {len} seed {seed:#x}");
+            }
+        }
+    }
+
+    /// The payload of a built packet whose checksums verify.
+    fn checked_payload(pkt: Packet) -> Vec<u8> {
+        let parsed = ParsedPacket::parse(pkt.bytes()).unwrap();
+        assert!(parsed.verify_checksums());
+        parsed.payload().to_vec()
+    }
+
+    #[test]
+    fn the_last_payload_call_wins_and_checksums_verify() {
+        let bytes = [9u8; 100];
+        let u = UdpPacketBuilder::new();
+        assert_eq!(checked_payload(u.clone().total_size(300, 4).payload(&bytes).build()), bytes);
+        assert_eq!(checked_payload(u.payload(&bytes).total_size(300, 4).build()), pattern(258, 4));
+        let t = TcpPacketBuilder::new();
+        assert_eq!(checked_payload(t.clone().total_size(300, 4).payload(&bytes).build()), bytes);
+        assert_eq!(checked_payload(t.payload(&bytes).total_size(300, 4).build()), pattern(246, 4));
     }
 
     #[test]
