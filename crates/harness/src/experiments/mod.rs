@@ -6,8 +6,8 @@
 //! `Full` is what the `pp-exp` binary and the Criterion benches run.
 //!
 //! The per-experiment parameters (NIC speed, framework, chain, memory
-//! fraction, expiry threshold) follow §6.1 of the paper; see DESIGN.md's
-//! per-experiment index for the mapping.
+//! fraction, expiry threshold) follow §6.1 of the paper PAPER.md cites; each
+//! runner's doc (`fig07`, `fig08_09`, …) names its figure and setting.
 
 pub mod adversity;
 pub mod cluster;

@@ -16,8 +16,7 @@
 //! * [`adversity`] — the deterministic adversity engine: seeded, replayable
 //!   loss/reorder/duplication/truncation/blackout scenarios whose per-packet
 //!   decisions are pure functions of `(seed, leg, seq)`, so every execution
-//!   path sees identical misfortune;
-//! * [`trace`] — a bounded in-memory trace log for debugging runs.
+//!   path sees identical misfortune.
 //!
 //! Design note: simulation is CPU-bound and must be reproducible, so the
 //! substrate is fully synchronous — no async runtime, no threads. The
@@ -30,7 +29,6 @@ pub mod pcie;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use adversity::{
     internal_leg_protected_prefix, AdversityProfile, FaultPlan, FaultTally, Leg, LegProfile,
@@ -42,4 +40,3 @@ pub use pcie::PcieBus;
 pub use queue::DropTailQueue;
 pub use rng::DetRng;
 pub use time::{Bandwidth, SimDuration, SimTime};
-pub use trace::Trace;

@@ -412,9 +412,7 @@ pub fn pattern(len: usize, seed: u64) -> Vec<u8> {
     out
 }
 
-/// Lanes [`fill_pattern`] steps in lockstep.
-const LANES: usize = 8;
-/// Bytes one lane produces per run (whole packed `u64` stores).
+/// Bytes per table-driven block of [`fill_pattern`].
 const BLOCK: usize = 32;
 
 /// One xorshift64 step.
@@ -424,23 +422,45 @@ const fn step(s: u64) -> u64 {
     s ^ (s << 17)
 }
 
-/// `BLOCK` xorshift64 steps at once. The step is linear over GF(2), so
-/// `BLOCK` of them are a fixed 64×64 bit matrix; `JUMP[t][b]` is that
-/// matrix applied to byte `t` of the state holding `b`, and a jump XORs
-/// the eight byte slices together.
+/// The `BLOCK` pattern bytes (before the `+ i`) that follow state `s`,
+/// byte `i` in byte `i % 8` of word `i / 8`, and the state after them.
+const fn block(mut s: u64) -> ([u64; 4], u64) {
+    let mut words = [0u64; 4];
+    let mut i = 0;
+    while i < BLOCK {
+        s = step(s);
+        words[i / 8] |= (s & 0xff) << (8 * (i % 8));
+        i += 1;
+    }
+    (words, s)
+}
+
+/// The step is linear over GF(2), so both halves of [`block`] are fixed
+/// bit matrices applied to the state. Each table holds its matrix applied
+/// to byte `t` of the state holding `b`, at `[t][b]`; XORing the eight
+/// byte slices a state picks applies the whole matrix. `OUT` gives a
+/// block's bytes.
+static OUT: [[[u64; 4]; 256]; 8] = {
+    let mut table = [[[0u64; 4]; 256]; 8];
+    let mut t = 0;
+    while t < 8 {
+        let mut b = 0;
+        while b < 256 {
+            table[t][b] = block((b as u64) << (8 * t)).0;
+            b += 1;
+        }
+        t += 1;
+    }
+    table
+};
+/// The state `BLOCK` steps on, byte-sliced as [`OUT`] is.
 static JUMP: [[u64; 256]; 8] = {
     let mut table = [[0u64; 256]; 8];
     let mut t = 0;
     while t < 8 {
         let mut b = 0;
         while b < 256 {
-            let mut s = (b as u64) << (8 * t);
-            let mut i = 0;
-            while i < BLOCK {
-                s = step(s);
-                i += 1;
-            }
-            table[t][b] = s;
+            table[t][b] = block((b as u64) << (8 * t)).1;
             b += 1;
         }
         t += 1;
@@ -463,58 +483,33 @@ fn add_bytes(a: u64, b: u64) -> u64 {
 ///
 /// The contract: with `s₀ = max(seed · 0x9E3779B97F4A7C15, 1)` and `sᵢ₊₁`
 /// one xorshift64 (13, 7, 17) step after `sᵢ`, byte `i` is the low byte of
-/// `sᵢ₊₁` plus `i`, both mod 256. The state chain is serial, so the fill
-/// runs it as jump-ahead lanes instead: runs of up to `LANES` blocks of
-/// `BLOCK` bytes, lane `k` starting `k · BLOCK` steps in (one [`jump`]
-/// from lane `k − 1`), all lanes stepping together and storing eight
-/// bytes at a time. Under one block is left at the end; it runs serially.
+/// `sᵢ₊₁` plus `i`, both mod 256. The state chain is linear, so the fill
+/// runs it a `BLOCK` of bytes at a time by table lookup: a block's 32
+/// bytes are the XOR of the eight `OUT` rows its state's bytes pick, plus
+/// `i` added eight bytes at a time, and the next block's state is one
+/// [`jump`] on. Under one block is left at the end; it runs serially.
 pub fn fill_pattern(out: &mut [u8], seed: u64) {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
-    let mut pos = 0;
-    fill_runs::<LANES>(out, &mut pos, &mut state);
-    fill_runs::<4>(out, &mut pos, &mut state);
-    fill_runs::<2>(out, &mut pos, &mut state);
-    fill_runs::<1>(out, &mut pos, &mut state);
-    for (i, byte) in out.iter_mut().enumerate().skip(pos) {
-        state = step(state);
-        *byte = (state as u8).wrapping_add(i as u8);
-    }
-}
-
-/// Fills `N`-lane runs from `out[*pos..]` while a whole run fits,
-/// advancing `pos` and `state` (the state before byte `pos`) past them.
-fn fill_runs<const N: usize>(out: &mut [u8], pos: &mut usize, state: &mut u64) {
     const SPLAT: u64 = 0x0101_0101_0101_0101;
     const RAMP: u64 = 0x0706_0504_0302_0100;
-    while out.len() - *pos >= N * BLOCK {
-        let run = &mut out[*pos..*pos + N * BLOCK];
-        let mut lanes = [*state; N];
-        for k in 1..N {
-            lanes[k] = jump(lanes[k - 1]);
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
+    let whole = out.len() - out.len() % BLOCK;
+    let (blocks, tail) = out.split_at_mut(whole);
+    for (n, run) in blocks.chunks_exact_mut(BLOCK).enumerate() {
+        let mut words = [0u64; 4];
+        for (rows, b) in OUT.iter().zip(state.to_le_bytes()) {
+            words.iter_mut().zip(&rows[usize::from(b)]).for_each(|(w, r)| *w ^= r);
         }
-        for word in 0..BLOCK / 8 {
-            let mut packed = [0u64; N];
-            for byte in 0..8 {
-                // One operation across all lanes at a time: the form the
-                // compiler turns into vector instructions.
-                lanes.iter_mut().for_each(|l| *l ^= *l << 13);
-                lanes.iter_mut().for_each(|l| *l ^= *l >> 7);
-                lanes.iter_mut().for_each(|l| *l ^= *l << 17);
-                for (p, l) in packed.iter_mut().zip(&lanes) {
-                    *p |= (l & 0xff) << (8 * byte);
-                }
-            }
-            for (k, p) in packed.into_iter().enumerate() {
-                let at = k * BLOCK + 8 * word;
-                // `*pos + at` is a multiple of 8, so its low byte plus
-                // 0..8 never carries: the `+ i` for eight bytes at once.
-                let index = u64::from((*pos + at) as u8) * SPLAT + RAMP;
-                run[at..at + 8].copy_from_slice(&add_bytes(p, index).to_le_bytes());
-            }
+        for (k, (bytes, word)) in run.chunks_exact_mut(8).zip(words).enumerate() {
+            // The offset is a multiple of 8, so its low byte plus 0..8
+            // never carries: the `+ i` for eight bytes at once.
+            let index = u64::from((n * BLOCK + 8 * k) as u8) * SPLAT + RAMP;
+            bytes.copy_from_slice(&add_bytes(word, index).to_le_bytes());
         }
-        // The last lane ends where the next run starts.
-        *state = lanes[N - 1];
-        *pos += N * BLOCK;
+        state = jump(state);
+    }
+    for (i, byte) in tail.iter_mut().enumerate() {
+        state = step(state);
+        *byte = (state as u8).wrapping_add((whole + i) as u8);
     }
 }
 
@@ -579,15 +574,44 @@ mod tests {
     }
 
     #[test]
-    fn lane_fill_equals_the_serial_spec_at_every_length() {
-        // Every run shape: whole 8-lane runs, each 4/2/1-lane remainder,
-        // and every serial tail, twice over.
-        for seed in [0, 1, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX] {
-            let spec = pattern_spec(2 * LANES * BLOCK + 63, seed);
+    fn fill_equals_the_serial_spec_at_every_length() {
+        // Every payload length up to a whole frame: each count of whole
+        // blocks with each serial tail, for five fixed seeds and 32 drawn
+        // from splitmix64.
+        let mut z = 0u64;
+        let drawn = std::iter::repeat_with(move || {
+            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let x = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        });
+        for seed in [0, 1, 7, 0x9E37_79B9_7F4A_7C15, u64::MAX].into_iter().chain(drawn.take(32)) {
+            let spec = pattern_spec(1600, seed);
             for len in 0..=spec.len() {
                 let mut out = vec![0xAA; len];
                 fill_pattern(&mut out, seed);
                 assert_eq!(out, spec[..len], "len {len} seed {seed:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_table_row_equals_the_serial_spec() {
+        // The seed multiplier is odd, so each state is some seed's first.
+        // A state with one nonzero byte picks one nonzero `OUT` and `JUMP`
+        // row, so two blocks from it check that row pair alone.
+        const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+        let inverse =
+            (0..5).fold(GOLDEN, |x, _| x.wrapping_mul(2u64.wrapping_sub(GOLDEN.wrapping_mul(x))));
+        assert_eq!(GOLDEN.wrapping_mul(inverse), 1);
+        for t in 0..8 {
+            for b in 1..256u64 {
+                let seed = (b << (8 * t)).wrapping_mul(inverse);
+                assert_eq!(
+                    pattern(2 * BLOCK, seed),
+                    pattern_spec(2 * BLOCK, seed),
+                    "row [{t}][{b}]"
+                );
             }
         }
     }
