@@ -7,9 +7,10 @@
 //! hours). `fig06` and `table1` are cheap enough to run whole.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pp_harness::experiments::{fig06, table1};
-use pp_harness::multiserver::{run_pipe, MultiServerConfig};
-use pp_harness::testbed::{run, ChainSpec, DeployMode, FrameworkKind, ParkParams, TestbedConfig};
+use pp_harness::experiments::{fig06, fig10_11_pipe, table1};
+use pp_harness::testbed::{
+    run, run_servers, ChainSpec, DeployMode, FrameworkKind, ParkParams, TestbedConfig,
+};
 use pp_netsim::time::SimDuration;
 use pp_nf::nfs::NF_MEDIUM_CYCLES;
 use pp_nf::server::ServerProfile;
@@ -97,13 +98,12 @@ fn bench_figures(c: &mut Criterion) {
 
     // Fig 10/11: the two-slice multi-server pipe.
     g.bench_function("fig10_fig11_multi_server", |b| {
-        let c = MultiServerConfig {
+        let c = TestbedConfig {
             rate_gbps: 4.0,
             duration: SimDuration::from_millis(3),
-            mode: DeployMode::PayloadPark(ParkParams { sram_fraction: 0.40, ..Default::default() }),
-            ..Default::default()
+            ..fig10_11_pipe(true)
         };
-        b.iter(|| black_box(run_pipe(&c)[0].goodput_gbps))
+        b.iter(|| black_box(run_servers(&c)[0].goodput_gbps))
     });
 
     // Fig 12: FW(40% drops)→NAT with explicit drops at EXP=10.

@@ -19,18 +19,16 @@ pub use throughput::{
     telemetry_overhead, throughput as emulator_throughput, throughput_telemetry, OverheadReport,
 };
 
-use crate::multiserver::{run_pipe, MultiServerConfig};
 use crate::runner::find_peak_goodput;
 use crate::testbed::{
-    run, ChainSpec, DeployMode, FrameworkKind, ParkParams, RunReport, TestbedConfig,
+    run, run_servers, ChainSpec, DeployMode, FrameworkKind, ParkParams, RunReport, TestbedConfig,
 };
 use payloadpark::program::build_switch;
-use payloadpark::{ParkConfig, PipeControl, PipePark, SliceSpec};
+use payloadpark::PipeControl;
 use pp_metrics::Series;
 use pp_netsim::time::SimDuration;
 use pp_nf::nfs::{NF_HEAVY_CYCLES, NF_LIGHT_CYCLES, NF_MEDIUM_CYCLES};
 use pp_nf::server::ServerProfile;
-use pp_rmt::chip::ChipProfile;
 use pp_trafficgen::enterprise::EnterpriseDistribution;
 use pp_trafficgen::gen::{SizeModel, TrafficMix};
 
@@ -308,33 +306,53 @@ pub fn fig08_09(effort: Effort) -> (Series, Series) {
 // Figs. 10 & 11 — eight NF servers
 // ---------------------------------------------------------------------
 
-/// Figs. 10 and 11: per-server goodput and latency for 8 NF servers
-/// (4 pipes × 2 slices, MAC swapper, 384 B packets, ~40 % SRAM reserved).
-///
-/// The four pipes are independent (no shared stateful memory), so they run
-/// as four parallel `run_pipe` instances with distinct seeds.
-pub fn fig10_11(effort: Effort) -> (Series, Series) {
-    let base_cfg = |seed: u64, mode: DeployMode, rate: f64| MultiServerConfig {
-        rate_gbps: rate,
-        duration: effort.duration(),
+/// One pipe of Figs. 10-11: two NF servers, one per memory slice, running
+/// the MAC swapper on 384 B packets over 40 GE, on the 8-server rig's
+/// weaker machines (2.4 GHz Xeons with E5-2407v2-class memory, §6.1).
+/// `park` deploys PayloadPark with ≈ 40 % of the pipe's SRAM, split
+/// between the two slices; otherwise the baseline.
+pub fn fig10_11_pipe(park: bool) -> TestbedConfig {
+    TestbedConfig {
+        servers: 2,
+        nic_gbps: 40.0,
+        sizes: SizeModel::Fixed(384),
+        chain: ChainSpec::MacSwap,
+        framework: FrameworkKind::OpenNetVm,
         server: ServerProfile {
             cpu_hz: 2.4e9,
             modulation_period: SimDuration::from_millis(10),
             ..Default::default()
         },
-        seed,
-        mode,
+        per_byte_cycles: Some(1.2),
+        mode: if park {
+            DeployMode::PayloadPark(ParkParams { sram_fraction: 0.40, ..Default::default() })
+        } else {
+            DeployMode::Baseline
+        },
         ..Default::default()
+    }
+}
+
+/// Figs. 10 and 11: per-server goodput and latency for 8 NF servers
+/// (4 pipes × 2 slices, MAC swapper, 384 B packets, ~40 % SRAM reserved).
+///
+/// The four pipes are independent (no shared stateful memory), so they run
+/// as four parallel two-server testbeds with distinct seeds.
+pub fn fig10_11(effort: Effort) -> (Series, Series) {
+    let cfg = |seed: u64, park: bool, rate: f64| TestbedConfig {
+        rate_gbps: rate,
+        duration: effort.duration(),
+        seed,
+        ..fig10_11_pipe(park)
     };
-    let park = DeployMode::PayloadPark(ParkParams { sram_fraction: 0.40, ..Default::default() });
 
     // Find a sustainable per-server rate for each mode on pipe 0, then run
     // every pipe at that rate (the paper drives all servers identically).
-    let probe = |mode: DeployMode| -> f64 {
+    let probe = |park: bool| -> f64 {
         let mut rate = 2.0;
         let mut best = rate;
         while rate <= 16.0 {
-            let reports = run_pipe(&base_cfg(1, mode, rate));
+            let reports = run_servers(&cfg(1, park, rate));
             if reports.iter().all(|r| r.healthy()) {
                 best = rate;
             } else {
@@ -347,8 +365,8 @@ pub fn fig10_11(effort: Effort) -> (Series, Series) {
         }
         best
     };
-    let rate_base = probe(DeployMode::Baseline);
-    let rate_park = probe(park);
+    let rate_base = probe(false);
+    let rate_park = probe(true);
 
     // Per pipe: baseline at its peak, PayloadPark at its (higher) peak for
     // the goodput comparison, and PayloadPark at the *baseline's* rate for
@@ -358,15 +376,12 @@ pub fn fig10_11(effort: Effort) -> (Series, Series) {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4u64)
             .map(|pipe| {
-                let base_cfg = &base_cfg;
+                let cfg = &cfg;
                 scope.spawn(move || {
-                    let b = run_pipe(&base_cfg(pipe + 1, DeployMode::Baseline, rate_base));
-                    let p = run_pipe(&base_cfg(pipe + 1, park, rate_park));
-                    let pl = run_pipe(&base_cfg(pipe + 1, park, rate_base));
-                    [
-                        (b[0].clone(), p[0].clone(), pl[0].clone()),
-                        (b[1].clone(), p[1].clone(), pl[1].clone()),
-                    ]
+                    let b = run_servers(&cfg(pipe + 1, false, rate_base));
+                    let p = run_servers(&cfg(pipe + 1, true, rate_park));
+                    let pl = run_servers(&cfg(pipe + 1, true, rate_base));
+                    b.into_iter().zip(p).zip(pl).map(|((b, p), pl)| (b, p, pl)).collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -565,41 +580,22 @@ pub fn fig16(effort: Effort) -> Series {
 /// slice per pipe at ≈26 % SRAM) and the 8-server deployment (two slices
 /// per pipe at ≈40 % total). Returns the rendered text.
 pub fn table1() -> String {
-    let chip = ChipProfile::default();
-
-    let build = |slices_per_pipe: usize, fraction: f64| -> String {
-        let mut pipes = Vec::new();
-        for pipe in 0..1 {
-            let mut park = ParkConfig {
-                chip,
-                expiry_threshold: 1,
-                primary_blocks: 10,
-                annex_blocks: 14,
-                pipes: vec![],
-            };
-            let slots_total = park.slots_for_sram_fraction(fraction);
-            let slices = (0..slices_per_pipe)
-                .map(|s| SliceSpec {
-                    name: format!("server{s}"),
-                    split_ports: vec![(s * 4) as u16, (s * 4 + 1) as u16],
-                    merge_ports: vec![(s * 4 + 2) as u16],
-                    slots: (slots_total / slices_per_pipe).max(1),
-                })
-                .collect();
-            park.pipes = vec![PipePark { pipe, slices, annex_pipe: None }];
-            let (switch, handles) = build_switch(&park).expect("park builds");
-            let control = PipeControl::new(handles[0].clone());
-            pipes.push(control.resource_report(&switch).render());
-        }
-        pipes.remove(0)
+    let build = |cfg: TestbedConfig| -> String {
+        let park = cfg.park_config().expect("a PayloadPark deployment");
+        let (switch, handles) = build_switch(&park).expect("park builds");
+        PipeControl::new(handles[0].clone()).resource_report(&switch).render()
+    };
+    let four_servers = TestbedConfig {
+        mode: DeployMode::PayloadPark(ParkParams::default()),
+        ..Default::default()
     };
 
     let mut out = String::new();
     out.push_str("# Table 1: resource utilization on the emulated chip\n\n");
     out.push_str("## 4 NF servers (1 per pipe, ~26% SRAM reserved per pipe)\n");
-    out.push_str(&build(1, 0.26));
+    out.push_str(&build(four_servers));
     out.push_str("\n## 8 NF servers (2 per pipe, ~40% SRAM reserved per pipe)\n");
-    out.push_str(&build(2, 0.40));
+    out.push_str(&build(fig10_11_pipe(true)));
     out
 }
 

@@ -4,8 +4,8 @@
 //! discrete-event simulation: traffic generator (two ports) → RMT switch
 //! (baseline L2 or PayloadPark) → NF server → switch → sink, with link
 //! serialization, switch pipeline latency, PCIe DMA and FIFO server
-//! queueing. [`multiserver`] extends it to two memory slices / two servers
-//! per pipe for the 8-server experiment (§6.2.3).
+//! queueing. The same loop runs up to four such servers on one pipe, each
+//! with its own memory slice, for the 8-server experiment (§6.2.3).
 //!
 //! [`runner`] provides the paper's peak-goodput methodology: raise the send
 //! rate until the 0.1 % unintended-drop health criterion fails (§6.1), and
@@ -19,7 +19,6 @@ pub mod cli;
 pub mod experiments;
 pub mod fuzz;
 pub mod lint;
-pub mod multiserver;
 pub mod runner;
 pub mod telemetry;
 pub mod testbed;

@@ -2,17 +2,16 @@
 //!
 //! The lint targets mirror the programs the harness actually deploys —
 //! the baseline L2 switch, the testbed's single-server PayloadPark
-//! deployment (with and without the recirculation annex), the
-//! multi-server two-slice pipe, sharded variants of a multi-slice
+//! deployment (with and without the recirculation annex), the two-slice
+//! pipe of Figs. 10-11, sharded variants of the testbed's multi-server
 //! deployment, and cluster plans placing an eight-slice deployment on 2
 //! and 4 switches — and run [`pp_verify`] over each. The logic lives in the
 //! library so the regression tests and the `pp-lint` binary share it; the
 //! binary exits non-zero when any target produces an error-severity
 //! finding, which is how CI gates pushes on the static verifier.
 
-use payloadpark::program::build_switch;
 use payloadpark::shard::ShardPlan;
-use payloadpark::{ParkConfig, PipePark, SliceSpec};
+use payloadpark::ParkConfig;
 use pp_cluster::ClusterPlan;
 use pp_rmt::ChipProfile;
 use pp_verify::{
@@ -20,7 +19,8 @@ use pp_verify::{
     Severity,
 };
 
-use crate::testbed::{GEN_PORTS, SERVER_PORT};
+use crate::experiments::fig10_11_pipe;
+use crate::testbed::{DeployMode, ParkParams, TestbedConfig};
 
 /// Every lint target, in `--list`/`--all` order.
 pub const TARGETS: &[&str] = &[
@@ -34,45 +34,17 @@ pub const TARGETS: &[&str] = &[
     "cluster-4",
 ];
 
-/// The single-server deployment the testbed runs (`testbed::run` with
-/// `DeployMode::PayloadPark`), optionally with the recirculation annex.
-fn testbed_park(annex: bool) -> ParkConfig {
-    let chip = ChipProfile::default();
-    let mut park = ParkConfig::single_server(chip, GEN_PORTS.to_vec(), SERVER_PORT, 16);
-    if annex {
-        park.pipes[0].annex_pipe = Some(1);
-    }
-    park.pipes[0].slices[0].slots = park.slots_for_sram_fraction(0.26).max(1);
-    park
-}
-
-/// An `n`-slice deployment in the multiserver port layout: slice `s`
-/// splits ports `4s` and `4s+1` and merges port `4s+2` (slice 0 matches
-/// the testbed's `GEN_PORTS`/`SERVER_PORT`; all ports stay on pipe 0).
-fn sliced_park(n: usize) -> ParkConfig {
-    let chip = ChipProfile::default();
-    let mut park = ParkConfig::single_server(chip, GEN_PORTS.to_vec(), SERVER_PORT, 16);
-    let per_slice = (park.slots_for_sram_fraction(0.26) / n).max(1);
-    park.pipes[0] = PipePark {
-        pipe: 0,
-        slices: (0..n)
-            .map(|s| {
-                let base = 4 * s as u16;
-                SliceSpec {
-                    name: format!("server{s}"),
-                    split_ports: vec![base, base + 1],
-                    merge_ports: vec![base + 2],
-                    slots: per_slice,
-                }
-            })
-            .collect(),
-        annex_pipe: None,
-    };
-    park
+/// The deployment the testbed runs for `servers` servers with the default
+/// PayloadPark parameters, optionally with the recirculation annex.
+fn testbed_deployment(servers: usize, recirculation: bool) -> ParkConfig {
+    let params = ParkParams { recirculation, ..Default::default() };
+    TestbedConfig { servers, mode: DeployMode::PayloadPark(params), ..Default::default() }
+        .park_config()
+        .expect("a PayloadPark deployment")
 }
 
 fn sharded_reports(workers: usize) -> Vec<Report> {
-    let parent = sliced_park(workers);
+    let parent = testbed_deployment(workers, false);
     let mut reports = Vec::new();
     match ShardPlan::new(&parent, workers) {
         Ok(plan) => {
@@ -150,13 +122,11 @@ pub fn lint_target(name: &str) -> Option<Vec<Report>> {
                     .collect(),
             )
         }
-        "park" => Some(check_deployment(&testbed_park(false))),
-        "park-annex" => Some(check_deployment(&testbed_park(true))),
+        "park" => Some(check_deployment(&testbed_deployment(1, false))),
+        "park-annex" => Some(check_deployment(&testbed_deployment(1, true))),
+        // The two-slice pipe exactly as Figs. 10-11 run it.
         "park-multislice" => {
-            // Mirrors multiserver::run_pipe's two-slice deployment.
-            let cfg = sliced_park(2);
-            let _ = build_switch(&cfg); // same config the harness deploys
-            Some(check_deployment(&cfg))
+            Some(check_deployment(&fig10_11_pipe(true).park_config().expect("PayloadPark mode")))
         }
         "shard-2" => Some(sharded_reports(2)),
         "shard-4" => Some(sharded_reports(4)),

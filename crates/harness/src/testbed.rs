@@ -1,4 +1,5 @@
-//! The single-server testbed (paper Fig. 5).
+//! The discrete-event testbed (paper Fig. 5, and §6.2.3's multi-server
+//! pipe).
 //!
 //! ```text
 //!            2 × NIC ports                1 × NIC port
@@ -12,9 +13,19 @@
 //! are never the bottleneck, §6.1); the server hangs off one port; packets
 //! returning from the NF chain are merged and L2-forwarded to the sink,
 //! where goodput and end-to-end latency are measured.
+//!
+//! With [`TestbedConfig::servers`] > 1, several copies of that rig share
+//! one pipe through static memory slicing (§6.2.3, Figs. 10-11): each
+//! server has its own generator, sink and slice of the lookup table, so a
+//! heavy-hitting neighbour cannot evict another tenant's payloads. The
+//! paper attaches two servers to each of the four pipes; pipes share
+//! nothing, so the 8-server experiment is four independent two-server
+//! runs. Server `s` has the generator on ports `4s` and `4s+1`, the NF
+//! server on `4s+2` and the sink on `4s+3`, all on pipe 0, so a run has
+//! one to four servers.
 
 use payloadpark::program::{build_baseline_switch, build_switch};
-use payloadpark::{CounterSnapshot, ParkConfig, PipeControl};
+use payloadpark::{CounterSnapshot, ParkConfig, PipeControl, SliceSpec};
 use pp_metrics::{GoodputMeter, HealthTracker, LatencyStats};
 use pp_netsim::adversity::{internal_leg_protected_prefix, AdversityProfile, FaultTally, Leg};
 use pp_netsim::event::EventQueue;
@@ -29,7 +40,8 @@ use pp_nf::nfs::{MacSwap, Nat, Synthetic};
 use pp_nf::server::{NfServer, RxOutcome, ServerProfile};
 use pp_packet::{MacAddr, Packet};
 use pp_rmt::chip::ChipProfile;
-use pp_rmt::switch::{BatchOutput, SwitchModel};
+use pp_rmt::switch::BatchOutput;
+use pp_rmt::PortId;
 use pp_trafficgen::gen::{GenConfig, SizeModel, TrafficGen, TrafficMix};
 use std::net::Ipv4Addr;
 
@@ -39,6 +51,13 @@ pub const GEN_PORTS: [u16; 2] = [0, 1];
 pub const SERVER_PORT: u16 = 2;
 /// Sink port (measurement).
 pub const SINK_PORT: u16 = 3;
+
+/// Server `s`'s generator, NF-server and sink ports: server 0's plan
+/// shifted by four ports per server.
+fn ports(s: usize) -> ([u16; 2], u16, u16) {
+    let base = 4 * s as u16;
+    (GEN_PORTS.map(|p| p + base), SERVER_PORT + base, SINK_PORT + base)
+}
 
 /// Which NF chain runs on the server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -196,6 +215,13 @@ pub struct TestbedConfig {
     /// Server hardware/model parameters (framework field is overwritten
     /// from `framework`/`mode`).
     pub server: ServerProfile,
+    /// Per-byte cycles of the server's memory subsystem; `None` keeps the
+    /// framework's own value. The 8-server rig's weaker E5-2407v2-class
+    /// machines (§6.1) use 1.2.
+    pub per_byte_cycles: Option<f64>,
+    /// NF servers sharing pipe 0 (1-4), each with its own generator, sink
+    /// and equal slice of the lookup table (see the module doc).
+    pub servers: usize,
     /// Distinct generator flows.
     pub flows: usize,
     /// Run seed.
@@ -221,11 +247,42 @@ impl Default for TestbedConfig {
             chain: ChainSpec::FwNatLb { fw_rules: 20 },
             framework: FrameworkKind::NetBricks,
             server: ServerProfile::default(),
+            per_byte_cycles: None,
+            servers: 1,
             flows: 128,
             seed: 1,
             mode: DeployMode::Baseline,
             adversity: AdversityProfile::disabled(),
         }
+    }
+}
+
+impl TestbedConfig {
+    /// The PayloadPark deployment a run builds (`None` for the baseline):
+    /// one pipe-0 slice per server, splitting its generator ports and
+    /// merging its NF-server port, each with an equal share of the SRAM
+    /// fraction.
+    pub fn park_config(&self) -> Option<ParkConfig> {
+        let DeployMode::PayloadPark(p) = self.mode else { return None };
+        let mut park =
+            ParkConfig::single_server(ChipProfile::default(), GEN_PORTS.to_vec(), SERVER_PORT, 1);
+        park.expiry_threshold = p.expiry;
+        if p.recirculation {
+            park.pipes[0].annex_pipe = Some(1);
+        }
+        let slots = (park.slots_for_sram_fraction(p.sram_fraction) / self.servers).max(1);
+        let slices = &mut park.pipes[0].slices;
+        slices[0].slots = slots;
+        slices.extend((1..self.servers).map(|s| {
+            let (gen, server, _) = ports(s);
+            SliceSpec {
+                name: format!("server{s}"),
+                split_ports: gen.to_vec(),
+                merge_ports: vec![server],
+                slots,
+            }
+        }));
+        Some(park)
     }
 }
 
@@ -287,13 +344,32 @@ impl RunReport {
     }
 }
 
+/// A packet's last bit arrives; `port` is the switch port it left or
+/// enters, which names the server it belongs to (`port / 4`).
 enum Ev {
-    /// A packet's last bit arrives at a switch ingress port.
+    /// At a switch ingress port.
     Switch { port: u16, pkt: Packet },
-    /// A packet's last bit arrives at the server NIC.
-    Server { pkt: Packet },
-    /// A packet's last bit arrives at the sink.
-    Sink { pkt: Packet },
+    /// At the NF server's NIC.
+    Server { port: u16, pkt: Packet },
+    /// At the sink.
+    Sink { port: u16, pkt: Packet },
+}
+
+/// One server's share of the topology, and what is measured on it.
+struct Rig {
+    gen: TrafficGen,
+    /// The generator's next departure, while it is inside the window.
+    next: Option<(SimTime, Packet)>,
+    gen_links: [Link; 2],
+    to_server: Link,
+    from_server: Link,
+    to_sink: Link,
+    server: NfServer,
+    departures: Vec<u64>,
+    latency: LatencyStats,
+    goodput: GoodputMeter,
+    delivered: u64,
+    fault_tally: FaultTally,
 }
 
 /// Applies one internal leg's adversity to a packet about to be
@@ -333,174 +409,194 @@ fn inject(
     Some((SimDuration::from_nanos(plan.extra_delay_ns), plan.duplicate))
 }
 
-/// Runs one experiment.
+/// Runs one experiment and returns server 0's report.
 pub fn run(config: &TestbedConfig) -> RunReport {
-    let chip = ChipProfile::default();
-    let server_mac = MacAddr::from_index(100);
-    let sink_mac = MacAddr::from_index(200);
-    let src_base = Ipv4Addr::new(10, 0, 0, 1);
+    run_servers(config).swap_remove(0)
+}
+
+/// Runs one experiment and returns one report per server, in server order.
+/// The pipe-wide results (PayloadPark counters, occupancy, the oracle's
+/// findings and the switch statistics) are on every report.
+pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
+    let n = config.servers;
+    assert!((1..=4).contains(&n), "pipe 0's port plan fits 1-4 servers, not {n}");
 
     // --- switch ---
-    let (mut switch, control): (SwitchModel, Option<PipeControl>) = match config.mode {
-        DeployMode::Baseline => (build_baseline_switch(chip).expect("baseline builds"), None),
-        DeployMode::PayloadPark(p) => {
-            let mut park = ParkConfig::single_server(
-                chip,
-                GEN_PORTS.to_vec(),
-                SERVER_PORT,
-                16, // placeholder, fixed below
-            );
-            park.expiry_threshold = p.expiry;
-            if p.recirculation {
-                park.pipes[0].annex_pipe = Some(1);
-            }
-            park.pipes[0].slices[0].slots = park.slots_for_sram_fraction(p.sram_fraction).max(1);
+    let (mut switch, control) = match config.park_config() {
+        None => (build_baseline_switch(ChipProfile::default()).expect("baseline builds"), None),
+        Some(park) => {
             let (sw, handles) = build_switch(&park).expect("park config builds");
             (sw, Some(PipeControl::new(handles[0].clone())))
         }
     };
-    switch.l2_add(server_mac, pp_rmt::PortId(SERVER_PORT));
-    switch.l2_add(sink_mac, pp_rmt::PortId(SINK_PORT));
 
-    // --- server ---
+    // --- per server: server, links, generator, measurement state ---
     let explicit = matches!(config.mode, DeployMode::PayloadPark(p) if p.explicit_drop);
-    let mut server_profile = config.server;
-    server_profile.framework = config.framework.profile(explicit);
-    let chain = config.chain.build(config.flows, src_base);
-    let mut server = NfServer::new(server_profile, chain, DetRng::derive(config.seed, "server"));
-    server.set_tx_dst_mac(sink_mac);
-
-    // --- links ---
     let bw = Bandwidth::gbps(config.nic_gbps);
     let prop = SimDuration::from_nanos(500);
-    let mut gen_links = [Link::new(bw, prop), Link::new(bw, prop)];
-    let mut to_server = Link::new(bw, prop);
-    let mut from_server = Link::new(bw, prop);
-    // The sink path spreads over both generator ports in the real rig.
-    let mut to_sink = Link::new(Bandwidth::gbps(config.nic_gbps * 2.0), prop);
+    let mut rigs: Vec<Rig> = (0..n)
+        .map(|s| {
+            let (_, server_port, sink_port) = ports(s);
+            let server_mac = MacAddr::from_index(100 + s as u64);
+            let sink_mac = MacAddr::from_index(200 + s as u64);
+            // Server s's flows start 2^22 addresses (10.64.0.1 for s = 1)
+            // above server 0's.
+            let src_base =
+                Ipv4Addr::from(u32::from(Ipv4Addr::new(10, 0, 0, 1)) + ((s as u32) << 22));
+            switch.l2_add(server_mac, PortId(server_port));
+            switch.l2_add(sink_mac, PortId(sink_port));
 
-    // --- generator ---
-    let mut gen = TrafficGen::new(GenConfig {
-        rate_gbps: config.rate_gbps,
-        // Two generator ports: aggregate pacing at 2x the per-port rate.
-        line_rate_gbps: config.nic_gbps * 2.0,
-        burst: 32,
-        sizes: config.sizes.clone(),
-        mix: config.mix,
-        flows: config.flows,
-        dst_mac: server_mac,
-        dst_ip: Ipv4Addr::new(10, 10, 0, 1),
-        src_ip_base: src_base,
-        seed: config.seed,
-    });
+            let mut profile = config.server;
+            profile.framework = config.framework.profile(explicit);
+            if let Some(cycles) = config.per_byte_cycles {
+                profile.framework.per_byte_cycles = cycles;
+            }
+            let chain = config.chain.build(config.flows, src_base);
+            // A one-server run keeps the streams of the single-server rig;
+            // with several, each server and generator gets its own.
+            let rng = if n == 1 {
+                DetRng::derive(config.seed, "server")
+            } else {
+                DetRng::derive(config.seed, &format!("server{s}"))
+            };
+            let mut server = NfServer::new(profile, chain, rng);
+            server.set_tx_dst_mac(sink_mac);
 
-    // --- measurement state ---
-    let mut departures: Vec<u64> = Vec::with_capacity(1 << 16);
-    let mut latency = LatencyStats::new();
-    let mut goodput = GoodputMeter::new();
-    let mut delivered_total = 0u64;
+            let mut gen = TrafficGen::new(GenConfig {
+                rate_gbps: config.rate_gbps,
+                // Two generator ports: aggregate pacing at 2x the per-port rate.
+                line_rate_gbps: config.nic_gbps * 2.0,
+                burst: 32,
+                sizes: config.sizes.clone(),
+                mix: config.mix,
+                flows: config.flows,
+                dst_mac: server_mac,
+                dst_ip: Ipv4Addr::new(10, 10, 0, s as u8 + 1),
+                src_ip_base: src_base,
+                seed: if n == 1 { config.seed } else { config.seed ^ ((s as u64 + 1) * 0x9E37) },
+            });
+            Rig {
+                next: Some(gen.next_packet()),
+                gen,
+                gen_links: [Link::new(bw, prop), Link::new(bw, prop)],
+                to_server: Link::new(bw, prop),
+                from_server: Link::new(bw, prop),
+                // The sink path spreads over both generator ports in the
+                // real rig.
+                to_sink: Link::new(Bandwidth::gbps(config.nic_gbps * 2.0), prop),
+                server,
+                departures: Vec::with_capacity(1 << 16),
+                latency: LatencyStats::new(),
+                goodput: GoodputMeter::new(),
+                delivered: 0,
+                fault_tally: FaultTally::default(),
+            }
+        })
+        .collect();
+
     let duration_ns = config.duration.nanos();
-
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let mut next_gen: Option<(SimTime, Packet)> = Some(gen.next_packet());
     let adversity = &config.adversity;
-    let mut fault_tally = FaultTally::default();
     // The switch's egress arena, reused by every pass.
     let mut switched = BatchOutput::new();
 
     loop {
-        // Interleave generation with event processing in time order.
-        let gen_time = next_gen.as_ref().map(|(t, _)| *t);
-        let ev_time = queue.peek_time();
-        let take_gen = match (gen_time, ev_time) {
-            (Some(g), Some(e)) => g <= e,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-
-        if take_gen {
-            let (t, pkt) = next_gen.take().expect("checked above");
-            let seq = pkt.seq() as usize;
-            if departures.len() <= seq {
-                departures.resize(seq + 1, 0);
+        // Interleave generation with event processing in time order: a
+        // generator wins a tie with the queue, and among generators the
+        // later server wins.
+        let mut earliest = queue.peek_time();
+        let mut departing = None;
+        for (s, rig) in rigs.iter().enumerate() {
+            if let Some((t, _)) = rig.next {
+                if earliest.is_none_or(|e| t <= e) {
+                    earliest = Some(t);
+                    departing = Some(s);
+                }
             }
-            departures[seq] = t.nanos();
+        }
+
+        if let Some(s) = departing {
+            let rig = &mut rigs[s];
+            let (t, pkt) = rig.next.take().expect("chosen above");
+            let seq = pkt.seq() as usize;
+            if rig.departures.len() <= seq {
+                rig.departures.resize(seq + 1, 0);
+            }
+            rig.departures[seq] = t.nanos();
             // Alternate generator ports; each imposes its own serialization.
-            let port = GEN_PORTS[seq % 2];
-            let arrival = gen_links[seq % 2].transmit(t, pkt.len());
-            queue.schedule(arrival, Ev::Switch { port, pkt });
+            let lane = seq % 2;
+            let arrival = rig.gen_links[lane].transmit(t, pkt.len());
+            queue.schedule(arrival, Ev::Switch { port: ports(s).0[lane], pkt });
             // Pull the next departure while it is inside the window.
-            let (t_next, p_next) = gen.next_packet();
+            let (t_next, p_next) = rig.gen.next_packet();
             if t_next.nanos() < duration_ns {
-                next_gen = Some((t_next, p_next));
+                rig.next = Some((t_next, p_next));
             }
             continue;
         }
 
-        let (now, ev) = queue.pop().expect("checked above");
+        let Some((now, ev)) = queue.pop() else { break };
         match ev {
             Ev::Switch { port, pkt } => {
                 switched.clear();
-                switch.process_into(pkt.bytes(), pp_rmt::PortId(port), pkt.seq(), &mut switched);
+                switch.process_into(pkt.bytes(), PortId(port), pkt.seq(), &mut switched);
                 for out in switched.iter() {
+                    let port = out.port.0;
+                    // Mis-routed packets (no such server, or a generator
+                    // port) go nowhere.
+                    let Some(rig) = rigs.get_mut(usize::from(port / 4)) else { continue };
                     let t_out = now + SimDuration::from_nanos(out.latency_ns);
                     let mut fwd = Packet::with_seq(out.bytes.to_vec(), out.seq);
-                    match out.port.0 {
+                    match port % 4 {
                         SERVER_PORT => {
                             // The switch → NF leg is where the adversity
                             // engine lives (§3.3's lossy links).
                             let Some((extra, dup)) =
-                                inject(adversity, Leg::ToNf, &mut fwd, &mut fault_tally)
+                                inject(adversity, Leg::ToNf, &mut fwd, &mut rig.fault_tally)
                             else {
                                 continue;
                             };
                             if dup {
-                                let again = to_server.transmit(t_out, fwd.len());
-                                queue.schedule(again + extra, Ev::Server { pkt: fwd.clone() });
+                                let again = rig.to_server.transmit(t_out, fwd.len());
+                                queue
+                                    .schedule(again + extra, Ev::Server { port, pkt: fwd.clone() });
                             }
-                            let arrival = to_server.transmit(t_out, fwd.len());
-                            queue.schedule(arrival + extra, Ev::Server { pkt: fwd });
+                            let arrival = rig.to_server.transmit(t_out, fwd.len());
+                            queue.schedule(arrival + extra, Ev::Server { port, pkt: fwd });
                         }
                         SINK_PORT => {
-                            let arrival = to_sink.transmit(t_out, fwd.len());
-                            queue.schedule(arrival, Ev::Sink { pkt: fwd });
+                            let arrival = rig.to_sink.transmit(t_out, fwd.len());
+                            queue.schedule(arrival, Ev::Sink { port, pkt: fwd });
                         }
-                        _ => {
-                            // Mis-routed: count as other drop via switch stats.
-                            fwd.bytes_mut().clear();
-                        }
+                        _ => {}
                     }
                 }
             }
-            Ev::Server { pkt } => match server.rx(now, pkt) {
-                RxOutcome::Dropped => {}
-                RxOutcome::Done { time, packet: Some(mut out) } => {
+            Ev::Server { port, pkt } => {
+                let rig = &mut rigs[usize::from(port / 4)];
+                if let RxOutcome::Done { time, packet: Some(mut out) } = rig.server.rx(now, pkt) {
                     // The NF → switch leg: losses here orphan parked
                     // payloads until the evictor reclaims their slots.
                     let Some((extra, dup)) =
-                        inject(adversity, Leg::FromNf, &mut out, &mut fault_tally)
+                        inject(adversity, Leg::FromNf, &mut out, &mut rig.fault_tally)
                     else {
                         continue;
                     };
                     if dup {
-                        let again = from_server.transmit(time, out.len());
-                        queue.schedule(
-                            again + extra,
-                            Ev::Switch { port: SERVER_PORT, pkt: out.clone() },
-                        );
+                        let again = rig.from_server.transmit(time, out.len());
+                        queue.schedule(again + extra, Ev::Switch { port, pkt: out.clone() });
                     }
-                    let arrival = from_server.transmit(time, out.len());
-                    queue.schedule(arrival + extra, Ev::Switch { port: SERVER_PORT, pkt: out });
+                    let arrival = rig.from_server.transmit(time, out.len());
+                    queue.schedule(arrival + extra, Ev::Switch { port, pkt: out });
                 }
-                RxOutcome::Done { time: _, packet: None } => {}
-            },
-            Ev::Sink { pkt } => {
-                delivered_total += 1;
+            }
+            Ev::Sink { port, pkt } => {
+                let rig = &mut rigs[usize::from(port / 4)];
+                rig.delivered += 1;
                 if now.nanos() <= duration_ns {
-                    goodput.record(now, pkt.len());
-                    let dep = departures.get(pkt.seq() as usize).copied().unwrap_or(0);
-                    latency.record(SimDuration::from_nanos(now.nanos() - dep));
+                    rig.goodput.record(now, pkt.len());
+                    let dep = rig.departures.get(pkt.seq() as usize).copied().unwrap_or(0);
+                    rig.latency.record(SimDuration::from_nanos(now.nanos() - dep));
                 }
             }
         }
@@ -508,7 +604,6 @@ pub fn run(config: &TestbedConfig) -> RunReport {
 
     // --- health accounting ---
     let counters = control.as_ref().map(|c| c.counters(&switch));
-    let sstats = server.stats();
     let swstats = switch.stats();
     let premature = counters.map(|c| c.premature_evictions + c.crc_fail).unwrap_or(0);
     let explicit_consumed = counters.map(|c| c.explicit_drops).unwrap_or(0);
@@ -518,22 +613,11 @@ pub fn run(config: &TestbedConfig) -> RunReport {
     let dup_consumed = counters.map(|c| c.dup_merge).unwrap_or(0);
     let program_drops_other =
         swstats.dropped_by_program.saturating_sub(premature + explicit_consumed + dup_consumed);
-    let health = HealthTracker {
-        offered: gen.generated(),
-        delivered: delivered_total,
-        intended_drops: sstats.nf_dropped,
-        ring_drops: sstats.ring_drops,
-        premature_eviction_drops: premature,
-        // Injected losses (drops + blackouts) count as unintended: the
-        // sweep's whole point is to watch health degrade with adversity.
-        // (With duplication, `in_flight` can go slightly negative —
-        // baseline duplicates are delivered twice but offered once.)
-        other_drops: swstats.parse_errors
-            + swstats.dropped_no_route
-            + swstats.dropped_recirc_limit
-            + program_drops_other
-            + fault_tally.lost(),
-    };
+    // Switch-wide drops are counted on server 0.
+    let switch_drops = swstats.parse_errors
+        + swstats.dropped_no_route
+        + swstats.dropped_recirc_limit
+        + program_drops_other;
     // The conformance oracle: whatever the network did, the counters must
     // balance against the slots actually occupied (no leaks, no
     // double-frees). On a violation the flight recorder's recent events
@@ -548,34 +632,58 @@ pub fn run(config: &TestbedConfig) -> RunReport {
         None => (Vec::new(), None),
     };
 
-    // Deliveries after the window closed were queued somewhere at cutoff.
-    let backlog_pkts = delivered_total - goodput.delivered();
-
-    RunReport {
-        send_gbps: config.rate_gbps,
-        goodput_gbps: goodput.goodput_gbps(duration_ns),
-        throughput_gbps: goodput.throughput_gbps(duration_ns),
-        rate_mpps: goodput.rate_mpps(duration_ns),
-        avg_latency_us: latency.avg_us(),
-        jitter_us: latency.jitter_us(),
-        p99_latency_us: latency.percentile_us(0.99),
-        pcie_gbps: server.pcie_achieved_gbps(SimTime(duration_ns)),
-        health,
-        backlog_pkts,
-        counters,
-        occupancy,
-        server_stats: sstats,
-        switch_stats: swstats,
-        fault_tally,
-        latency,
-        oracle_violations,
-        flight_dump,
-    }
+    let n = n as u64;
+    (0..n)
+        .zip(rigs)
+        .map(|(s, rig)| {
+            let sstats = rig.server.stats();
+            let health = HealthTracker {
+                offered: rig.gen.generated(),
+                delivered: rig.delivered,
+                intended_drops: sstats.nf_dropped,
+                ring_drops: sstats.ring_drops,
+                // Premature evictions are a pipe-wide counter: an equal
+                // share per server, the remainder on the last.
+                premature_eviction_drops: premature / n
+                    + if s == n - 1 { premature % n } else { 0 },
+                // Injected losses (drops + blackouts) count as unintended:
+                // the sweep's whole point is to watch health degrade with
+                // adversity. (With duplication, `in_flight` can go slightly
+                // negative — baseline duplicates are delivered twice but
+                // offered once.)
+                other_drops: (if s == 0 { switch_drops } else { 0 }) + rig.fault_tally.lost(),
+            };
+            // Deliveries after the window closed were queued somewhere at
+            // cutoff.
+            let backlog_pkts = rig.delivered - rig.goodput.delivered();
+            RunReport {
+                send_gbps: config.rate_gbps,
+                goodput_gbps: rig.goodput.goodput_gbps(duration_ns),
+                throughput_gbps: rig.goodput.throughput_gbps(duration_ns),
+                rate_mpps: rig.goodput.rate_mpps(duration_ns),
+                avg_latency_us: rig.latency.avg_us(),
+                jitter_us: rig.latency.jitter_us(),
+                p99_latency_us: rig.latency.percentile_us(0.99),
+                pcie_gbps: rig.server.pcie_achieved_gbps(SimTime(duration_ns)),
+                health,
+                backlog_pkts,
+                counters,
+                occupancy,
+                server_stats: sstats,
+                switch_stats: swstats,
+                fault_tally: rig.fault_tally,
+                latency: rig.latency,
+                oracle_violations: oracle_violations.clone(),
+                flight_dump: flight_dump.clone(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_nf::server::ServerStats;
 
     fn quiet_server() -> ServerProfile {
         ServerProfile { jitter_frac: 0.0, modulation_amplitude: 0.0, ..Default::default() }
@@ -769,6 +877,158 @@ mod tests {
         // Slots of dropped packets were reclaimed by notifications, not by
         // waiting out the conservative expiry threshold.
         assert_eq!(c.splits as i64 - c.merges as i64 - c.explicit_drops as i64, c.outstanding());
+    }
+
+    /// Figs. 10-11's two-server pipe at 3 Gbps per server for 3 ms, with
+    /// quiet servers.
+    fn two_servers(mode: DeployMode) -> TestbedConfig {
+        TestbedConfig {
+            rate_gbps: 3.0,
+            duration: SimDuration::from_millis(3),
+            server: ServerProfile { cpu_hz: 2.4e9, ..quiet_server() },
+            seed: 11,
+            mode,
+            ..crate::experiments::fig10_11_pipe(false)
+        }
+    }
+
+    /// One server's pinned results: goodput, average latency, p99 latency
+    /// and PCIe as f64 bits, then health, counters and server stats.
+    type Pinned = ([u64; 4], HealthTracker, Option<CounterSnapshot>, ServerStats);
+
+    fn pinned(r: &RunReport) -> Pinned {
+        let bits =
+            [r.goodput_gbps, r.avg_latency_us, r.p99_latency_us, r.pcie_gbps].map(f64::to_bits);
+        (bits, r.health, r.counters, r.server_stats)
+    }
+
+    #[test]
+    fn two_server_pipe_reproduces_its_pinned_reports() {
+        // Recorded from the two-server pipe's earlier, separate event loop:
+        // the shared loop must reproduce them bit for bit.
+        let health = HealthTracker { offered: 2945, delivered: 2944, ..Default::default() };
+        let stats = |busy_ns| ServerStats {
+            received: 2944,
+            forwarded: 2944,
+            busy_ns,
+            ..Default::default()
+        };
+        let base = (
+            [0x3fd51a437824d4cc, 0x401c0f5c28f5c28f, 0x40251916872b020c, 0x401c2304a0311bba],
+            health,
+            None,
+            stats(786_048),
+        );
+        let park = (
+            [0x3fd51a437824d4cc, 0x40168bc6a7ef9db2, 0x401fe872b020c49c, 0x4012870f0bc4e88b],
+            health,
+            Some(CounterSnapshot { splits: 5888, merges: 5888, ..Default::default() }),
+            stats(559_360),
+        );
+        let params = ParkParams { sram_fraction: 0.40, ..Default::default() };
+        for (mode, want) in [(DeployMode::Baseline, base), (DeployMode::PayloadPark(params), park)]
+        {
+            let reports = run_servers(&two_servers(mode));
+            assert_eq!(reports.len(), 2);
+            for r in &reports {
+                assert_eq!(pinned(r), want, "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn both_servers_deliver_baseline() {
+        let r = run_servers(&two_servers(DeployMode::Baseline));
+        let [a, b] = &r[..] else { panic!("{} reports", r.len()) };
+        assert!(a.healthy(), "{:?}", a.health);
+        assert!(b.healthy(), "{:?}", b.health);
+        assert!(a.goodput_gbps > 0.0 && b.goodput_gbps > 0.0);
+        // Symmetric load → comparable goodput.
+        assert!((a.goodput_gbps - b.goodput_gbps).abs() / a.goodput_gbps < 0.05);
+    }
+
+    #[test]
+    fn both_servers_split_and_merge_with_park() {
+        let params = ParkParams { sram_fraction: 0.40, ..Default::default() };
+        let r = run_servers(&two_servers(DeployMode::PayloadPark(params)));
+        let [a, b] = &r[..] else { panic!("{} reports", r.len()) };
+        assert!(a.healthy(), "{:?}", a.health);
+        assert!(b.healthy(), "{:?}", b.health);
+        let c = a.counters.expect("park counters");
+        assert!(c.splits > 0 && c.merges > 0);
+        assert!(c.functionally_equivalent(), "{c:?}");
+        // 384-byte packets: payload 342 >= 160, so every packet splits.
+        assert_eq!(c.disabled_small_payload, 0);
+    }
+
+    #[test]
+    fn park_saves_pcie_on_both_servers() {
+        let base = run_servers(&two_servers(DeployMode::Baseline));
+        let params = ParkParams { sram_fraction: 0.40, ..Default::default() };
+        let park = run_servers(&two_servers(DeployMode::PayloadPark(params)));
+        for s in 0..2 {
+            assert!(
+                park[s].pcie_gbps < base[s].pcie_gbps,
+                "server {s}: {} !< {}",
+                park[s].pcie_gbps,
+                base[s].pcie_gbps
+            );
+        }
+    }
+
+    #[test]
+    fn two_server_nf_leg_loss_keeps_the_pipe_oracle_clean() {
+        // A tiny table shared by two slices, and 20% loss on the NF →
+        // switch legs: orphaned payloads on both slices must be aged out,
+        // and the pipe-wide counters must still balance.
+        let params = ParkParams { sram_fraction: 0.002, expiry: 2, ..Default::default() };
+        let cfg = TestbedConfig {
+            adversity: AdversityProfile::nf_loss(3, 0.2),
+            ..two_servers(DeployMode::PayloadPark(params))
+        };
+        let r = run_servers(&cfg);
+        let [a, b] = &r[..] else { panic!("{} reports", r.len()) };
+        let c = a.counters.expect("park counters");
+        assert!(c.evictions > 0, "orphaned slots must be aged out: {c:?}");
+        assert!(a.oracle_violations.is_empty(), "{:?}", a.oracle_violations);
+        // Pipe-wide results repeat on every server's report.
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.occupancy, b.occupancy);
+        assert_eq!(a.oracle_violations, b.oracle_violations);
+        // Each server's legs lose packets, and its health counts them.
+        for r in [a, b] {
+            assert!(r.fault_tally.dropped > 50, "{:?}", r.fault_tally);
+            assert!(r.health.other_drops >= r.fault_tally.lost());
+            assert!(!r.healthy(), "20% loss cannot be healthy");
+        }
+    }
+
+    #[test]
+    fn default_park_config_is_the_single_server_deployment() {
+        let params = ParkParams::default();
+        let cfg = TestbedConfig { mode: DeployMode::PayloadPark(params), ..Default::default() };
+        let mut want =
+            ParkConfig::single_server(ChipProfile::default(), GEN_PORTS.to_vec(), SERVER_PORT, 1);
+        want.expiry_threshold = params.expiry;
+        want.pipes[0].slices[0].slots = want.slots_for_sram_fraction(params.sram_fraction).max(1);
+        assert_eq!(cfg.park_config(), Some(want));
+        assert_eq!(TestbedConfig::default().park_config(), None);
+    }
+
+    #[test]
+    fn servers_get_disjoint_slices_with_equal_shares() {
+        let params = ParkParams { sram_fraction: 0.40, ..Default::default() };
+        let one = TestbedConfig { mode: DeployMode::PayloadPark(params), ..Default::default() };
+        let total = one.park_config().unwrap().pipes[0].slices[0].slots;
+        let park = TestbedConfig { servers: 2, ..one }.park_config().unwrap();
+        let slices = &park.pipes[0].slices;
+        assert_eq!(slices.len(), 2);
+        assert_eq!(
+            (slices[1].split_ports.clone(), slices[1].merge_ports.clone()),
+            (vec![4, 5], vec![6])
+        );
+        assert!(slices.iter().all(|s| s.slots == total / 2));
+        park.validate().unwrap();
     }
 
     #[test]

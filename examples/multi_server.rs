@@ -8,25 +8,20 @@
 //! cargo run --release --example multi_server
 //! ```
 
-use pp_harness::multiserver::{run_pipe, MultiServerConfig};
-use pp_harness::testbed::{DeployMode, ParkParams};
+use pp_harness::experiments::fig10_11_pipe;
+use pp_harness::testbed::{run_servers, TestbedConfig};
 use pp_netsim::time::SimDuration;
 
 fn main() {
-    let mut cfg = MultiServerConfig {
+    // One pipe of the paper's 8-server rig; PayloadPark reserves 40% of
+    // the pipe, split between the 2 slices.
+    let cfg = |park: bool| TestbedConfig {
         rate_gbps: 5.0,
         duration: SimDuration::from_millis(15),
-        ..Default::default()
+        ..fig10_11_pipe(park)
     };
-
-    cfg.mode = DeployMode::Baseline;
-    let base = run_pipe(&cfg);
-
-    cfg.mode = DeployMode::PayloadPark(ParkParams {
-        sram_fraction: 0.40, // 40% of the pipe, split between the 2 slices
-        ..Default::default()
-    });
-    let park = run_pipe(&cfg);
+    let base = run_servers(&cfg(false));
+    let park = run_servers(&cfg(true));
 
     println!("Two NF servers (MAC swap, 384 B packets) sharing one pipe, 5 Gbps each:");
     println!();
