@@ -14,7 +14,7 @@
 //! (sorted member set × vnode index, hashed with SplitMix64) on every
 //! membership change, so insertion *order* can never leak into
 //! placement — `{0,1,2}` reached via any insert/remove history owns the
-//! same keys. The `ring_props` proptests pin this, the ≤`~1/N` movement
+//! same keys. The `ring_props` property tests pin this, the ≤`~1/N` movement
 //! bound, and the every-key-has-exactly-one-live-owner invariant.
 
 use std::collections::BTreeSet;

@@ -4,10 +4,10 @@
 //! (§6.2.6): for any traffic pattern that suffers no premature evictions,
 //! Split followed by Merge must restore every packet byte for byte.
 
-use proptest::prelude::*;
-
 use payloadpark::program::build_switch;
 use payloadpark::{ParkConfig, PipeControl};
+use pp_netsim::check::forall;
+use pp_netsim::{prop_assert, prop_assert_eq};
 use pp_packet::builder::UdpPacketBuilder;
 use pp_packet::parse::ParsedPacket;
 use pp_packet::MacAddr;
@@ -35,99 +35,118 @@ fn packet(size: usize, seed: u64) -> Vec<u8> {
         .into_bytes()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Cases per property.
+const CASES: u32 = 64;
 
-    /// Any mix of packet sizes round-trips byte-identically when the table
-    /// is large enough that no eviction can occur.
-    #[test]
-    fn split_merge_is_identity_without_evictions(
-        sizes in proptest::collection::vec(43usize..1492, 1..40),
-        seed in any::<u64>(),
-    ) {
-        let (mut switch, control) = testbed(4096, 1);
-        // Split all, then merge all (worst-case table pressure for the batch).
-        let mut in_flight = Vec::new();
-        for (i, &size) in sizes.iter().enumerate() {
-            let pkt = packet(size, seed ^ i as u64);
-            let out = switch.process(&pkt, PortId((i % 2) as u16), i as u64);
+/// Any mix of packet sizes round-trips byte-identically when the table
+/// is large enough that no eviction can occur.
+#[test]
+fn split_merge_is_identity_without_evictions() {
+    forall(
+        "split_merge_is_identity_without_evictions",
+        CASES,
+        |d| (d.vec(1..40, |d| d.range(43usize..1492)), d.any::<u64>()),
+        |(sizes, seed)| {
+            let (mut switch, control) = testbed(4096, 1);
+            // Split all, then merge all (worst-case table pressure for the batch).
+            let mut in_flight = Vec::new();
+            for (i, &size) in sizes.iter().enumerate() {
+                let pkt = packet(size, seed ^ i as u64);
+                let out = switch.process(&pkt, PortId((i % 2) as u16), i as u64);
+                prop_assert_eq!(out.len(), 1);
+                in_flight.push((pkt, out.into_iter().next().unwrap()));
+            }
+            for (original, out) in in_flight {
+                let mut back = out.bytes.clone();
+                back[0..6].copy_from_slice(&MacAddr::from_index(200).0);
+                let merged = switch.process(&back, PortId(SERVER_PORT), out.seq);
+                prop_assert_eq!(merged.len(), 1);
+                // Compare everything except the dst MAC we rewrote.
+                prop_assert_eq!(&merged[0].bytes[6..], &original[6..]);
+            }
+            let c = control.counters(&switch);
+            prop_assert!(c.functionally_equivalent());
+            prop_assert_eq!(control.occupancy(&switch), 0);
+            Ok(())
+        },
+    );
+}
+
+/// Wire length after Split is always original − 153 for parked packets
+/// and original + 7 for bypassed ones; never anything else.
+#[test]
+fn split_changes_length_by_exactly_the_contract() {
+    forall(
+        "split_changes_length_by_exactly_the_contract",
+        CASES,
+        |d| (d.range(43usize..1492), d.any::<u64>()),
+        |(size, seed)| {
+            let (mut switch, control) = testbed(64, 1);
+            let pkt = packet(size, seed);
+            let out = switch.process(&pkt, PortId(0), 0);
             prop_assert_eq!(out.len(), 1);
-            in_flight.push((pkt, out.into_iter().next().unwrap()));
-        }
-        for (original, out) in in_flight {
-            let mut back = out.bytes.clone();
-            back[0..6].copy_from_slice(&MacAddr::from_index(200).0);
-            let merged = switch.process(&back, PortId(SERVER_PORT), out.seq);
-            prop_assert_eq!(merged.len(), 1);
-            // Compare everything except the dst MAC we rewrote.
-            prop_assert_eq!(&merged[0].bytes[6..], &original[6..]);
-        }
-        let c = control.counters(&switch);
-        prop_assert!(c.functionally_equivalent());
-        prop_assert_eq!(control.occupancy(&switch), 0);
-    }
+            let payload = size - 42;
+            if payload >= 160 {
+                prop_assert_eq!(out[0].bytes.len(), size - 153);
+                prop_assert_eq!(control.counters(&switch).splits, 1);
+            } else {
+                prop_assert_eq!(out[0].bytes.len(), size + 7);
+                prop_assert_eq!(control.counters(&switch).disabled_small_payload, 1);
+            }
+            // The emitted packet always re-parses cleanly.
+            let parsed = ParsedPacket::parse(&out[0].bytes).unwrap();
+            prop_assert_eq!(parsed.wire_len(), out[0].bytes.len());
+            Ok(())
+        },
+    );
+}
 
-    /// Wire length after Split is always original − 153 for parked packets
-    /// and original + 7 for bypassed ones; never anything else.
-    #[test]
-    fn split_changes_length_by_exactly_the_contract(
-        size in 43usize..1492,
-        seed in any::<u64>(),
-    ) {
-        let (mut switch, control) = testbed(64, 1);
-        let pkt = packet(size, seed);
-        let out = switch.process(&pkt, PortId(0), 0);
-        prop_assert_eq!(out.len(), 1);
-        let payload = size - 42;
-        if payload >= 160 {
-            prop_assert_eq!(out[0].bytes.len(), size - 153);
-            prop_assert_eq!(control.counters(&switch).splits, 1);
-        } else {
-            prop_assert_eq!(out[0].bytes.len(), size + 7);
-            prop_assert_eq!(control.counters(&switch).disabled_small_payload, 1);
-        }
-        // The emitted packet always re-parses cleanly.
-        let parsed = ParsedPacket::parse(&out[0].bytes).unwrap();
-        prop_assert_eq!(parsed.wire_len(), out[0].bytes.len());
-    }
+/// Counters are conserved: every split-port packet lands in exactly one
+/// of {split, disabled_small, disabled_occupied}, and outstanding slots
+/// equal table occupancy.
+#[test]
+fn counter_conservation() {
+    forall(
+        "counter_conservation",
+        CASES,
+        |d| {
+            let sizes = d.vec(1..60, |d| d.range(43usize..900));
+            (sizes, d.range(1usize..32), d.range(1u16..4), d.any::<u64>())
+        },
+        |(sizes, slots, expiry, seed)| {
+            let (mut switch, control) = testbed(slots, expiry);
+            for (i, &size) in sizes.iter().enumerate() {
+                switch.process(&packet(size, seed ^ i as u64), PortId(0), i as u64);
+            }
+            let c = control.counters(&switch);
+            prop_assert_eq!(
+                c.splits + c.disabled_small_payload + c.disabled_occupied,
+                sizes.len() as u64
+            );
+            prop_assert_eq!(control.occupancy(&switch) as i64, c.outstanding());
+            Ok(())
+        },
+    );
+}
 
-    /// Counters are conserved: every split-port packet lands in exactly one
-    /// of {split, disabled_small, disabled_occupied}, and outstanding slots
-    /// equal table occupancy.
-    #[test]
-    fn counter_conservation(
-        sizes in proptest::collection::vec(43usize..900, 1..60),
-        slots in 1usize..32,
-        expiry in 1u16..4,
-        seed in any::<u64>(),
-    ) {
-        let (mut switch, control) = testbed(slots, expiry);
-        for (i, &size) in sizes.iter().enumerate() {
-            switch.process(&packet(size, seed ^ i as u64), PortId(0), i as u64);
-        }
-        let c = control.counters(&switch);
-        prop_assert_eq!(
-            c.splits + c.disabled_small_payload + c.disabled_occupied,
-            sizes.len() as u64
-        );
-        prop_assert_eq!(control.occupancy(&switch) as i64, c.outstanding());
-    }
-
-    /// Under deliberate table starvation the switch never drops a forward-
-    /// path packet: splits that cannot park fall back to baseline mode.
-    #[test]
-    fn no_forward_path_loss_under_starvation(
-        n in 1usize..80,
-        expiry in 2u16..16,
-        seed in any::<u64>(),
-    ) {
-        // 2 slots, conservative expiry: most packets find slots occupied.
-        let (mut switch, control) = testbed(2, expiry);
-        for i in 0..n {
-            let out = switch.process(&packet(600, seed ^ i as u64), PortId(0), i as u64);
-            prop_assert_eq!(out.len(), 1, "packet {} lost", i);
-        }
-        let c = control.counters(&switch);
-        prop_assert!(c.splits + c.disabled_occupied == n as u64);
-    }
+/// Under deliberate table starvation the switch never drops a forward-
+/// path packet: splits that cannot park fall back to baseline mode.
+#[test]
+fn no_forward_path_loss_under_starvation() {
+    forall(
+        "no_forward_path_loss_under_starvation",
+        CASES,
+        |d| (d.range(1usize..80), d.range(2u16..16), d.any::<u64>()),
+        |(n, expiry, seed)| {
+            // 2 slots, conservative expiry: most packets find slots occupied.
+            let (mut switch, control) = testbed(2, expiry);
+            for i in 0..n {
+                let out = switch.process(&packet(600, seed ^ i as u64), PortId(0), i as u64);
+                prop_assert_eq!(out.len(), 1, "packet {} lost", i);
+            }
+            let c = control.counters(&switch);
+            prop_assert!(c.splits + c.disabled_occupied == n as u64);
+            Ok(())
+        },
+    );
 }

@@ -43,14 +43,50 @@ fn testbed_deployment(servers: usize, recirculation: bool) -> ParkConfig {
         .expect("a PayloadPark deployment")
 }
 
-fn sharded_reports(workers: usize) -> Vec<Report> {
-    let parent = testbed_deployment(workers, false);
+/// The deployment a target checks (for a shard or cluster target, the
+/// parent it partitions); `None` for the baseline switch.
+fn deployment(name: &str) -> Option<ParkConfig> {
+    match name {
+        "park" => Some(testbed_deployment(1, false)),
+        "park-annex" => Some(testbed_deployment(1, true)),
+        // The two-slice pipe exactly as Figs. 10-11 run it.
+        "park-multislice" => fig10_11_pipe(true).park_config(),
+        "shard-2" => Some(testbed_deployment(2, false)),
+        "shard-4" => Some(testbed_deployment(4, false)),
+        // The parent `pp-exp cluster` deploys: the shared 8-server slicing
+        // (slice k splits port 2k, merges 2k+1 — dense enough to fit eight
+        // slices on one pipe, and enough ring keys that every switch serves
+        // at the shared seed).
+        "cluster-2" | "cluster-4" => Some(pp_fastpath::SlicedTestbed::new(8, 16).config()),
+        _ => None,
+    }
+}
+
+/// One line per slice of `cfg`: its slot count and the share of one
+/// pipe's stage SRAM those slots take.
+fn slice_lines(cfg: &ParkConfig) -> String {
+    let mut out = String::new();
+    for pipe in &cfg.pipes {
+        for slice in &pipe.slices {
+            out.push_str(&format!(
+                "# pipe {} slice {}: {} slots, {:.2} % of pipe SRAM\n",
+                pipe.pipe,
+                slice.name,
+                slice.slots,
+                100.0 * cfg.sram_fraction_for_slots(slice.slots)
+            ));
+        }
+    }
+    out
+}
+
+fn sharded_reports(parent: &ParkConfig, workers: usize) -> Vec<Report> {
     let mut reports = Vec::new();
-    match ShardPlan::new(&parent, workers) {
+    match ShardPlan::new(parent, workers) {
         Ok(plan) => {
             reports.push(Report::new(
                 format!("shard plan ({workers} workers)"),
-                check_shard_plan(&parent, &plan),
+                check_shard_plan(parent, &plan),
             ));
             for w in 0..plan.workers() {
                 for r in check_deployment(plan.config(w)) {
@@ -71,18 +107,13 @@ fn sharded_reports(workers: usize) -> Vec<Report> {
 /// the placements the experiments actually run.
 const CLUSTER_SEED: u64 = 42;
 
-fn cluster_reports(switches: usize) -> Vec<Report> {
-    // The parent `pp-exp cluster` deploys: the shared 8-server slicing
-    // (slice k splits port 2k, merges 2k+1 — dense enough to fit eight
-    // slices on one pipe, and enough ring keys that every switch serves
-    // at the shared seed).
-    let parent = pp_fastpath::SlicedTestbed::new(8, 16).config();
+fn cluster_reports(parent: &ParkConfig, switches: usize) -> Vec<Report> {
     let mut reports = Vec::new();
-    match ClusterPlan::new(&parent, switches, CLUSTER_SEED) {
+    match ClusterPlan::new(parent, switches, CLUSTER_SEED) {
         Ok(plan) => {
             reports.push(Report::new(
                 format!("cluster plan ({switches} switches)"),
-                check_cluster_plan(&parent, &plan),
+                check_cluster_plan(parent, &plan),
             ));
             // Each member is verified as the cluster builds it: the
             // store-backed program at the plan's global slice bases.
@@ -122,16 +153,11 @@ pub fn lint_target(name: &str) -> Option<Vec<Report>> {
                     .collect(),
             )
         }
-        "park" => Some(check_deployment(&testbed_deployment(1, false))),
-        "park-annex" => Some(check_deployment(&testbed_deployment(1, true))),
-        // The two-slice pipe exactly as Figs. 10-11 run it.
-        "park-multislice" => {
-            Some(check_deployment(&fig10_11_pipe(true).park_config().expect("PayloadPark mode")))
-        }
-        "shard-2" => Some(sharded_reports(2)),
-        "shard-4" => Some(sharded_reports(4)),
-        "cluster-2" => Some(cluster_reports(2)),
-        "cluster-4" => Some(cluster_reports(4)),
+        "park" | "park-annex" | "park-multislice" => Some(check_deployment(&deployment(name)?)),
+        "shard-2" => Some(sharded_reports(&deployment(name)?, 2)),
+        "shard-4" => Some(sharded_reports(&deployment(name)?, 4)),
+        "cluster-2" => Some(cluster_reports(&deployment(name)?, 2)),
+        "cluster-4" => Some(cluster_reports(&deployment(name)?, 4)),
         _ => None,
     }
 }
@@ -156,6 +182,9 @@ pub fn run_lint<S: AsRef<str>>(targets: &[S]) -> Result<LintRun, String> {
         let name = t.as_ref();
         let reports = lint_target(name).ok_or_else(|| format!("unknown target {name:?}"))?;
         rendered.push_str(&format!("# target: {name}\n"));
+        if let Some(cfg) = deployment(name) {
+            rendered.push_str(&slice_lines(&cfg));
+        }
         for r in &reports {
             errors += r.count(Severity::Error);
             warnings += r.count(Severity::Warning);
@@ -251,6 +280,22 @@ mod tests {
         assert!(run.rendered.contains("# target: park-annex"));
         assert!(run.rendered.contains("shard plan (4 workers)"));
         assert!(run.rendered.contains("cluster plan (4 switches)"));
+    }
+
+    #[test]
+    fn each_target_shows_the_deployment_it_checked() {
+        let run = run_lint(&["park-multislice", "baseline"]).unwrap();
+        // Figs. 10-11's pipe: 40 % of the SRAM, split evenly over two
+        // slices; the baseline switch parks nothing.
+        let slices: Vec<&str> = run.rendered.lines().filter(|l| l.starts_with("# pipe ")).collect();
+        assert_eq!(slices.len(), 2, "{}", run.rendered);
+        for (line, name) in slices.iter().zip(["server0", "server1"]) {
+            assert!(line.starts_with(&format!("# pipe 0 slice {name}: ")), "{line}");
+            assert!(line.ends_with(" slots, 20.00 % of pipe SRAM"), "{line}");
+        }
+        let cfg = deployment("park-multislice").unwrap();
+        let total = cfg.sram_fraction_for_slots(cfg.pipes[0].total_slots());
+        assert!((total - 0.40).abs() < 0.001, "{total}");
     }
 
     #[test]

@@ -233,6 +233,8 @@ pub struct TestbedConfig {
     /// and reordering add latency, duplication schedules the packet twice,
     /// truncation and corruption mangle the wire bytes in flight — all
     /// decisions keyed on `(seed, leg, seq)` so a run replays exactly.
+    /// Server `s > 0` mixes `s` into the seed, so servers lose different
+    /// packets.
     pub adversity: AdversityProfile,
 }
 
@@ -369,6 +371,9 @@ struct Rig {
     latency: LatencyStats,
     goodput: GoodputMeter,
     delivered: u64,
+    /// This server's legs' faults: server 0 draws from the run's
+    /// adversity seed, every other server from its own.
+    adversity: AdversityProfile,
     fault_tally: FaultTally,
 }
 
@@ -461,6 +466,8 @@ pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
             };
             let mut server = NfServer::new(profile, chain, rng);
             server.set_tx_dst_mac(sink_mac);
+            let mut adversity = config.adversity.clone();
+            adversity.seed ^= (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
 
             let mut gen = TrafficGen::new(GenConfig {
                 rate_gbps: config.rate_gbps,
@@ -489,6 +496,7 @@ pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
                 latency: LatencyStats::new(),
                 goodput: GoodputMeter::new(),
                 delivered: 0,
+                adversity,
                 fault_tally: FaultTally::default(),
             }
         })
@@ -496,7 +504,6 @@ pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
 
     let duration_ns = config.duration.nanos();
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    let adversity = &config.adversity;
     // The switch's egress arena, reused by every pass.
     let mut switched = BatchOutput::new();
 
@@ -552,7 +559,7 @@ pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
                             // The switch → NF leg is where the adversity
                             // engine lives (§3.3's lossy links).
                             let Some((extra, dup)) =
-                                inject(adversity, Leg::ToNf, &mut fwd, &mut rig.fault_tally)
+                                inject(&rig.adversity, Leg::ToNf, &mut fwd, &mut rig.fault_tally)
                             else {
                                 continue;
                             };
@@ -578,7 +585,7 @@ pub fn run_servers(config: &TestbedConfig) -> Vec<RunReport> {
                     // The NF → switch leg: losses here orphan parked
                     // payloads until the evictor reclaims their slots.
                     let Some((extra, dup)) =
-                        inject(adversity, Leg::FromNf, &mut out, &mut rig.fault_tally)
+                        inject(&rig.adversity, Leg::FromNf, &mut out, &mut rig.fault_tally)
                     else {
                         continue;
                     };
@@ -976,17 +983,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn two_server_nf_leg_loss_keeps_the_pipe_oracle_clean() {
-        // A tiny table shared by two slices, and 20% loss on the NF →
-        // switch legs: orphaned payloads on both slices must be aged out,
-        // and the pipe-wide counters must still balance.
+    /// A tiny table shared by two slices, and 20% loss on the NF →
+    /// switch legs.
+    fn lossy_two_servers() -> TestbedConfig {
         let params = ParkParams { sram_fraction: 0.002, expiry: 2, ..Default::default() };
-        let cfg = TestbedConfig {
+        TestbedConfig {
             adversity: AdversityProfile::nf_loss(3, 0.2),
             ..two_servers(DeployMode::PayloadPark(params))
-        };
-        let r = run_servers(&cfg);
+        }
+    }
+
+    #[test]
+    fn two_server_nf_leg_loss_keeps_the_pipe_oracle_clean() {
+        // Orphaned payloads on both slices must be aged out, and the
+        // pipe-wide counters must still balance.
+        let r = run_servers(&lossy_two_servers());
         let [a, b] = &r[..] else { panic!("{} reports", r.len()) };
         let c = a.counters.expect("park counters");
         assert!(c.evictions > 0, "orphaned slots must be aged out: {c:?}");
@@ -1001,6 +1012,16 @@ mod tests {
             assert!(r.health.other_drops >= r.fault_tally.lost());
             assert!(!r.healthy(), "20% loss cannot be healthy");
         }
+    }
+
+    #[test]
+    fn servers_draw_independent_faults() {
+        // Server 0 draws from the run's adversity seed, server 1 from its
+        // own, so the two lose different packets.
+        let r = run_servers(&lossy_two_servers());
+        let [a, b] = &r[..] else { panic!("{} reports", r.len()) };
+        assert_eq!((a.fault_tally.seen, a.fault_tally.dropped), (2944, 620));
+        assert_eq!((b.fault_tally.seen, b.fault_tally.dropped), (2944, 597));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   paper's PCIe-bandwidth measurements (§6.1, Fig. 9);
 //! * [`rng`] — seeded RNG streams so every run is a pure function of
 //!   (config, seed);
+//! * [`check`] — the property harness every crate's property tests run
+//!   on: generators draw from [`DetRng`], and a failure is shrunk;
 //! * [`adversity`] — the deterministic adversity engine: seeded, replayable
 //!   loss/reorder/duplication/truncation/blackout scenarios whose per-packet
 //!   decisions are pure functions of `(seed, leg, seq)`, so every execution
@@ -23,6 +25,7 @@
 //! multi-server experiment parallelises *across* independent simulations.
 
 pub mod adversity;
+pub mod check;
 pub mod event;
 pub mod link;
 pub mod pcie;

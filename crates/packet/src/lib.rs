@@ -13,9 +13,7 @@
 //!   pseudo-header);
 //! * [`ppark`] — the PayloadPark header from the paper (Fig. 2): a 7-byte
 //!   shim carrying the Enable bit, the opcode (Merge / Explicit-Drop), and a
-//!   48-bit tag = table index ⊕ generation clock ⊕ CRC;
-//! * [`pcap`] — classic libpcap trace files, used by the workload replayer
-//!   and the functional-equivalence test (paper §6.2.6).
+//!   48-bit tag = table index ⊕ generation clock ⊕ CRC.
 //!
 //! Higher layers:
 //!
@@ -48,7 +46,6 @@ pub mod ethernet;
 pub mod ipv4;
 pub mod packet;
 pub mod parse;
-pub mod pcap;
 pub mod ppark;
 pub mod tcp;
 pub mod udp;

@@ -3,17 +3,20 @@
 # public surface nothing else uses, and how many unwrap/expect sites it has.
 # A report, not a gate; a change that deletes code quotes it before and after.
 #
-# One fixed rule for "non-test": a file under crates/*/src counts up to, not
-# including, its first `#[cfg(test)]` line (every file if it has none).
+# One fixed rule for "non-test": a file under crates/*/src or vendor/*/src
+# counts up to, not including, its first `#[cfg(test)]` line (every file if
+# it has none).
 #
-# Prints three sections:
+# Prints four sections:
 #   1. non-test lines per crate, then the total;
-#   2. `pub` items (fn, struct, enum, trait, type, const, static, mod) defined
+#   2. non-test lines per vendored offline stand-in (vendor/*), then their
+#      own total, kept apart from the first;
+#   3. `pub` items (fn, struct, enum, trait, type, const, static, mod) defined
 #      in non-test code whose name appears as a word in no other .rs file of
 #      the tree (crates, src, tests, examples, pp-bench/src, vendor). Name
 #      matching stands in for resolution, so a common name (`new`, `len`)
 #      never shows up here even when its item is unused;
-#   3. non-test `.unwrap()` / `.expect(` sites per crate, then the total.
+#   4. non-test `.unwrap()` / `.expect(` sites per crate, then the total.
 #
 # Usage: scripts/size_ledger.sh   (always exits 0 when the tree is readable)
 set -euo pipefail
@@ -29,6 +32,20 @@ lib_files=$(find crates/*/src -name '*.rs' | sort)
 echo "== non-test lines per crate (up to each file's first #[cfg(test)]) =="
 total=0
 for dir in crates/*/; do
+    crate=$(basename "$dir")
+    n=0
+    for f in $(find "$dir/src" -name '*.rs' | sort); do
+        n=$((n + $(non_test "$f" | wc -l)))
+    done
+    printf '%-12s %6d\n' "$crate" "$n"
+    total=$((total + n))
+done
+printf '%-12s %6d\n' total "$total"
+
+echo
+echo "== non-test lines per vendored crate (not in the total above) =="
+total=0
+for dir in vendor/*/; do
     crate=$(basename "$dir")
     n=0
     for f in $(find "$dir/src" -name '*.rs' | sort); do

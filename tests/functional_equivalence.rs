@@ -7,14 +7,14 @@ use payloadpark::program::{build_baseline_switch, build_switch};
 use payloadpark::{ParkConfig, PipeControl};
 use pp_fastpath::{Dataplane, EngineConfig, PathResult, SlicedTestbed};
 use pp_netsim::adversity::{AdversityProfile, LegProfile};
+use pp_netsim::check::forall;
+use pp_netsim::prop_assert;
 use pp_netsim::time::SimDuration;
-use pp_packet::pcap::{captures_identical, PcapReader, PcapRecord, PcapWriter};
 use pp_packet::{MacAddr, Packet, ParsedPacket};
 use pp_rmt::chip::ChipProfile;
 use pp_rmt::switch::{BatchPacket, SwitchModel};
 use pp_rmt::PortId;
 use pp_trafficgen::gen::{GenConfig, SizeModel, TrafficGen, TrafficMix};
-use proptest::prelude::*;
 
 const SERVER_PORT: u16 = 2;
 const SINK_PORT: u16 = 3;
@@ -27,10 +27,10 @@ fn sink_mac() -> MacAddr {
 }
 
 /// Plays `packets` through a deployment with a MAC-swapping "NF server"
-/// and returns the pcap of what reaches the sink.
-fn capture(switch: &mut SwitchModel, packets: &[(u64, Packet)]) -> Vec<PcapRecord> {
+/// and returns the frames that reach the sink, in arrival order.
+fn capture(switch: &mut SwitchModel, packets: &[Packet]) -> Vec<Vec<u8>> {
     let mut records = Vec::new();
-    for (t, pkt) in packets {
+    for pkt in packets {
         for out in switch.process(pkt.bytes(), PortId((pkt.seq() % 2) as u16), pkt.seq()) {
             assert_eq!(out.port, PortId(SERVER_PORT), "forward path goes to the server");
             // The MAC-swap NF: swap addresses, then the framework TX sets
@@ -39,15 +39,14 @@ fn capture(switch: &mut SwitchModel, packets: &[(u64, Packet)]) -> Vec<PcapRecor
             bytes[0..6].copy_from_slice(&sink_mac().0);
             for merged in switch.process(&bytes, PortId(SERVER_PORT), out.seq) {
                 assert_eq!(merged.port, PortId(SINK_PORT));
-                records
-                    .push(PcapRecord::from_packet(&Packet::with_seq(merged.bytes, merged.seq), *t));
+                records.push(merged.bytes);
             }
         }
     }
     records
 }
 
-fn workload_with(mix: TrafficMix) -> Vec<(u64, Packet)> {
+fn workload_with(mix: TrafficMix) -> Vec<Packet> {
     let mut gen = TrafficGen::new(GenConfig {
         rate_gbps: 2.0,
         line_rate_gbps: 20.0,
@@ -59,10 +58,10 @@ fn workload_with(mix: TrafficMix) -> Vec<(u64, Packet)> {
         seed: 99,
         ..Default::default()
     });
-    gen.take_for(SimDuration::from_millis(2)).into_iter().map(|(t, p)| (t.nanos(), p)).collect()
+    gen.take_for(SimDuration::from_millis(2)).into_iter().map(|(_, p)| p).collect()
 }
 
-fn workload() -> Vec<(u64, Packet)> {
+fn workload() -> Vec<Packet> {
     workload_with(TrafficMix::UdpOnly)
 }
 
@@ -85,7 +84,7 @@ fn payloadpark_is_functionally_equivalent_to_baseline() {
 
     // Same number of packets delivered, byte-identical contents.
     assert_eq!(base_records.len(), packets.len());
-    assert!(captures_identical(&base_records, &park_records));
+    assert_eq!(base_records, park_records);
 
     // And the switch reports no premature payload evictions.
     let control = PipeControl::new(handles[0].clone());
@@ -104,7 +103,7 @@ fn payloadpark_is_functionally_equivalent_to_baseline() {
 fn mixed_tcp_udp_wave_is_functionally_equivalent_to_baseline() {
     let chip = ChipProfile::default();
     let packets = workload_with(TrafficMix::TcpUdp { tcp_fraction: 0.7 });
-    let tcp = packets.iter().filter(|(_, p)| p.parse().unwrap().five_tuple().protocol == 6).count();
+    let tcp = packets.iter().filter(|p| p.parse().unwrap().five_tuple().protocol == 6).count();
     assert!(tcp > 0 && tcp < packets.len(), "need a genuine mix: {tcp}/{}", packets.len());
 
     let mut baseline = build_baseline_switch(chip).unwrap();
@@ -119,9 +118,9 @@ fn mixed_tcp_udp_wave_is_functionally_equivalent_to_baseline() {
     let park_records = capture(&mut park, &packets);
 
     assert_eq!(base_records.len(), packets.len());
-    assert!(captures_identical(&base_records, &park_records));
+    assert_eq!(base_records, park_records);
     for rec in &park_records {
-        let parsed = ParsedPacket::parse(&rec.bytes).unwrap();
+        let parsed = ParsedPacket::parse(rec).unwrap();
         assert!(parsed.verify_checksums(), "bad checksum on {}", parsed.five_tuple());
     }
 
@@ -148,7 +147,7 @@ fn equivalence_holds_with_recirculation() {
     park.l2_add(sink_mac(), PortId(SINK_PORT));
     let park_records = capture(&mut park, &packets);
 
-    assert!(captures_identical(&base_records, &park_records));
+    assert_eq!(base_records, park_records);
     let counters = PipeControl::new(handles[0].clone()).counters(&park);
     assert!(counters.functionally_equivalent(), "{counters:?}");
     assert!(counters.splits > 0);
@@ -171,111 +170,90 @@ fn engine_matches_scalar(
     tb: &SlicedTestbed,
     inputs: &[BatchPacket],
     adv: &AdversityProfile,
-) -> Result<(), TestCaseError> {
+) -> Result<(), String> {
     let drive = |path: &str, dp: &mut dyn Dataplane| {
         PathResult::run(path, dp, &[inputs], tb.sink_mac(), adv)
     };
     let scalar = drive("scalar", &mut tb.build_scalar());
     prop_assert!(scalar.counters.splits > 0, "workload must exercise parking");
-    scalar.check_oracle(true).map_err(TestCaseError::fail)?;
+    scalar.check_oracle(true)?;
     for workers in [2usize, 4] {
         let mut engine =
             tb.build_engine(EngineConfig { workers, batch: 32, ring_depth: 4 }).unwrap();
         let got = drive(&format!("engine ({workers} workers)"), &mut engine);
-        got.diff(&scalar).and_then(|()| got.check_oracle(true)).map_err(TestCaseError::fail)?;
+        got.diff(&scalar).and_then(|()| got.check_oracle(true))?;
     }
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// §6.2.6, extended to the execution engine and the mixed TCP+UDP
-    /// enterprise workload: sharded-batched output must match the scalar
-    /// pipeline *exactly* — counter totals and identical merged outputs,
-    /// egress port included — at 2 and 4 shards, including mixes that
-    /// wrap the circular buffers (evictions and premature evictions of
-    /// TCP-parked slots must then be identical too). Every merged packet
-    /// must carry valid IPv4 and transport checksums.
-    #[test]
-    fn fastpath_matches_scalar_pipeline_on_mixed_traffic(
-        seed in any::<u64>(),
-        packets in 150usize..350,
-        slots in 24usize..512,
-    ) {
-        let tb = SlicedTestbed::new(4, slots);
-        let inputs = tb.counted_mixed_wave(seed, packets);
-        let tcp = inputs
-            .iter()
-            .filter(|p| ParsedPacket::parse(&p.bytes).unwrap().five_tuple().protocol == 6)
-            .count();
-        prop_assert!(tcp > 0 && tcp < inputs.len(), "need a genuine mix: {}", tcp);
-        engine_matches_scalar(&tb, &inputs, &AdversityProfile::disabled())?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The adversity equivalence oracle: for any seeded mix of loss,
-    /// duplication, truncation and bounded reordering on the internal NF
-    /// legs, the sharded engine at 2 and 4 workers must agree with the
-    /// scalar pipeline *exactly* — identical counter totals, identical
-    /// fault tallies, and identical delivered sets — because every
-    /// fault decision is a pure function of `(seed, leg, seq)`. The
-    /// conformance oracle (no slot leaks, counters balance, delivered
-    /// packets verify) must hold on every path.
-    #[test]
-    fn fastpath_matches_scalar_under_identical_seeded_adversity(
-        seed in any::<u64>(),
-        packets in 150usize..300,
-        slots in 24usize..256,
-        loss_pm in 0u32..300,
-        dup_pm in 0u32..300,
-        trunc_pm in 0u32..250,
-        reorder_pm in 0u32..500,
-    ) {
-        // Per-mille knobs: the vendored proptest has no float strategies.
-        let (loss, dup, trunc, reorder) = (
-            f64::from(loss_pm) / 1000.0,
-            f64::from(dup_pm) / 1000.0,
-            f64::from(trunc_pm) / 1000.0,
-            f64::from(reorder_pm) / 1000.0,
-        );
-        let tb = SlicedTestbed::new(4, slots);
-        let inputs = tb.counted_mixed_wave(seed, packets);
-        let adv = AdversityProfile {
-            seed,
-            to_nf: LegProfile::loss(loss * 0.3),
-            from_nf: LegProfile {
-                drop: loss,
-                duplicate: dup,
-                truncate: trunc,
-                reorder,
-                max_displacement: 32,
-                ..Default::default()
-            },
-        };
-        engine_matches_scalar(&tb, &inputs, &adv)?;
-    }
-}
-
+/// §6.2.6, extended to the execution engine and the mixed TCP+UDP
+/// enterprise workload: sharded-batched output must match the scalar
+/// pipeline *exactly* — counter totals and identical merged outputs,
+/// egress port included — at 2 and 4 shards, including mixes that
+/// wrap the circular buffers (evictions and premature evictions of
+/// TCP-parked slots must then be identical too). Every merged packet
+/// must carry valid IPv4 and transport checksums.
 #[test]
-fn captures_roundtrip_through_pcap_files() {
-    // The capture/compare methodology itself must be faithful: write the
-    // records to a pcap image and read them back.
-    let chip = ChipProfile::default();
-    let packets = workload();
-    let mut baseline = build_baseline_switch(chip).unwrap();
-    baseline.l2_add(server_mac(), PortId(SERVER_PORT));
-    baseline.l2_add(sink_mac(), PortId(SINK_PORT));
-    let records = capture(&mut baseline, &packets);
+fn fastpath_matches_scalar_pipeline_on_mixed_traffic() {
+    forall(
+        "fastpath_matches_scalar_pipeline_on_mixed_traffic",
+        8,
+        |d| (d.any::<u64>(), d.range(150usize..350), d.range(24usize..512)),
+        |(seed, packets, slots)| {
+            let tb = SlicedTestbed::new(4, slots);
+            let inputs = tb.counted_mixed_wave(seed, packets);
+            let tcp = inputs
+                .iter()
+                .filter(|p| ParsedPacket::parse(&p.bytes).unwrap().five_tuple().protocol == 6)
+                .count();
+            prop_assert!(tcp > 0 && tcp < inputs.len(), "need a genuine mix: {}", tcp);
+            engine_matches_scalar(&tb, &inputs, &AdversityProfile::disabled())
+        },
+    );
+}
 
-    let mut w = PcapWriter::new(Vec::new()).unwrap();
-    for r in &records {
-        w.write_record(r).unwrap();
-    }
-    let bytes = w.finish().unwrap();
-    let reread = PcapReader::parse(&bytes).unwrap().into_records();
-    assert!(captures_identical(&records, &reread));
+/// The adversity equivalence oracle: for any seeded mix of loss,
+/// duplication, truncation and bounded reordering on the internal NF
+/// legs, the sharded engine at 2 and 4 workers must agree with the
+/// scalar pipeline *exactly* — identical counter totals, identical
+/// fault tallies, and identical delivered sets — because every
+/// fault decision is a pure function of `(seed, leg, seq)`. The
+/// conformance oracle (no slot leaks, counters balance, delivered
+/// packets verify) must hold on every path.
+#[test]
+fn fastpath_matches_scalar_under_identical_seeded_adversity() {
+    forall(
+        "fastpath_matches_scalar_under_identical_seeded_adversity",
+        6,
+        |d| {
+            let (seed, packets, slots) =
+                (d.any::<u64>(), d.range(150usize..300), d.range(24usize..256));
+            // Per-mille knobs, so a shrunk case prints whole numbers.
+            let knobs = [d.range(0u32..300), d.range(0..300), d.range(0..250), d.range(0..500)];
+            (seed, packets, slots, knobs)
+        },
+        |(seed, packets, slots, [loss_pm, dup_pm, trunc_pm, reorder_pm])| {
+            let (loss, dup, trunc, reorder) = (
+                f64::from(loss_pm) / 1000.0,
+                f64::from(dup_pm) / 1000.0,
+                f64::from(trunc_pm) / 1000.0,
+                f64::from(reorder_pm) / 1000.0,
+            );
+            let tb = SlicedTestbed::new(4, slots);
+            let inputs = tb.counted_mixed_wave(seed, packets);
+            let adv = AdversityProfile {
+                seed,
+                to_nf: LegProfile::loss(loss * 0.3),
+                from_nf: LegProfile {
+                    drop: loss,
+                    duplicate: dup,
+                    truncate: trunc,
+                    reorder,
+                    max_displacement: 32,
+                    ..Default::default()
+                },
+            };
+            engine_matches_scalar(&tb, &inputs, &adv)
+        },
+    );
 }

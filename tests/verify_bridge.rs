@@ -1,4 +1,4 @@
-//! Proptest bridge between the static verifier and the executor.
+//! Property bridge between the static verifier and the executor.
 //!
 //! `pp_verify` reasons about declared [`MatSummary`] dataflow, never about
 //! the closures that actually run. This suite closes that gap from both
@@ -19,12 +19,13 @@
 //!   register bindings (PV302) and overlapping shard slices (PV401) must
 //!   always be caught.
 
+use pp_netsim::check::forall;
+use pp_netsim::{prop_assert, prop_assert_eq};
 use pp_rmt::summary::{MatSummary, Req, Slot};
 use pp_rmt::{ChipProfile, Mat, ParserConfig, Phv, PortId, ProgramError, RegisterSpec};
 use pp_verify::ir::{MatIr, ParserIr, ProgramIr, RegIr};
 use pp_verify::shard::{check_shards, ShardIr, SliceClaim, WorkerIr};
 use pp_verify::{check, check_ir, Code, Severity};
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Ports the random programs match on (and the workload covers).
@@ -141,66 +142,65 @@ fn workload() -> Vec<Phv> {
     (0..PORTS * 5).map(|i| Phv { ingress_port: PortId(i % PORTS), ..Phv::default() }).collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// clean ⇒ equivalent, and dead ⇒ never fires, on random programs.
+#[test]
+fn analyzer_clean_programs_execute_identically() {
+    forall(
+        "analyzer_clean_programs_execute_identically",
+        32,
+        |d| (d.any::<u64>(), d.range(1usize..7)),
+        |(seed, n_mats)| {
+            let specs = specs_from_seed(seed, n_mats);
+            let parser = ParserConfig::l2_only();
+            let mut scalar = build(&specs).expect("in-range spec builds");
+            let diags = check(&scalar, &parser);
+            let errors: Vec<_> = diags.iter().filter(|d| d.severity == Severity::Error).collect();
+            prop_assert!(errors.is_empty(), "meta-only programs must be error-free: {errors:?}");
 
-    /// clean ⇒ equivalent, and dead ⇒ never fires, on random programs.
-    #[test]
-    fn analyzer_clean_programs_execute_identically(seed in any::<u64>(), n_mats in 1usize..7) {
-        let specs = specs_from_seed(seed, n_mats);
-        let parser = ParserConfig::l2_only();
-        let mut scalar = build(&specs).expect("in-range spec builds");
-        let diags = check(&scalar, &parser);
-        let errors: Vec<_> =
-            diags.iter().filter(|d| d.severity == Severity::Error).collect();
-        prop_assert!(
-            errors.is_empty(),
-            "meta-only programs must be error-free: {errors:?}"
-        );
-
-        // Scalar reference run.
-        let mut phvs_a = workload();
-        for phv in phvs_a.iter_mut() {
-            scalar.execute(phv);
-        }
-
-        // Batched run over a fresh pipeline built from the same specs.
-        let mut batched = build(&specs).expect("same spec builds again");
-        let mut phvs_b = workload();
-        batched.execute_batch(&mut phvs_b);
-
-        prop_assert_eq!(&phvs_a, &phvs_b, "PHVs diverged");
-        prop_assert_eq!(scalar.counters(), batched.counters(), "counters diverged");
-        prop_assert_eq!(scalar.packets_processed(), batched.packets_processed());
-        for (r, spec) in scalar.registers().specs().iter().enumerate() {
-            for cell in 0..spec.cells {
-                prop_assert_eq!(
-                    scalar.registers().cell(pp_rmt::RegisterId(r), cell),
-                    batched.registers().cell(pp_rmt::RegisterId(r), cell),
-                    "register {} cell {} diverged", spec.name, cell
-                );
+            // Scalar reference run.
+            let mut phvs_a = workload();
+            for phv in phvs_a.iter_mut() {
+                scalar.execute(phv);
             }
-        }
 
-        // Soundness of the reachability pass: every table the analyzer
-        // declared dead or shadowed must indeed never have fired.
-        for d in &diags {
-            if matches!(d.code, Code::PV201 | Code::PV202) {
-                let name = d.mat.as_deref().unwrap();
-                let hits: u64 = scalar
-                    .stages()
-                    .iter()
-                    .flat_map(|s| s.mats())
-                    .filter(|m| m.name() == name)
-                    .map(|m| m.hits())
-                    .sum();
-                prop_assert_eq!(
-                    hits, 0,
-                    "analyzer called {} unreachable but it fired", name
-                );
+            // Batched run over a fresh pipeline built from the same specs.
+            let mut batched = build(&specs).expect("same spec builds again");
+            let mut phvs_b = workload();
+            batched.execute_batch(&mut phvs_b);
+
+            prop_assert_eq!(&phvs_a, &phvs_b, "PHVs diverged");
+            prop_assert_eq!(scalar.counters(), batched.counters(), "counters diverged");
+            prop_assert_eq!(scalar.packets_processed(), batched.packets_processed());
+            for (r, spec) in scalar.registers().specs().iter().enumerate() {
+                for cell in 0..spec.cells {
+                    prop_assert_eq!(
+                        scalar.registers().cell(pp_rmt::RegisterId(r), cell),
+                        batched.registers().cell(pp_rmt::RegisterId(r), cell),
+                        "register {} cell {} diverged",
+                        spec.name,
+                        cell
+                    );
+                }
             }
-        }
-    }
+
+            // Soundness of the reachability pass: every table the analyzer
+            // declared dead or shadowed must indeed never have fired.
+            for d in &diags {
+                if matches!(d.code, Code::PV201 | Code::PV202) {
+                    let name = d.mat.as_deref().unwrap();
+                    let hits: u64 = scalar
+                        .stages()
+                        .iter()
+                        .flat_map(|s| s.mats())
+                        .filter(|m| m.name() == name)
+                        .map(|m| m.hits())
+                        .sum();
+                    prop_assert_eq!(hits, 0, "analyzer called {} unreachable but it fired", name);
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -227,137 +227,158 @@ fn plain_mat(name: &str, stage: usize, summary: MatSummary) -> MatIr {
     MatIr { name: name.into(), stage, summary: Some(summary), stateful: None }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// Pass 1: a shim read on a port whose parser never produces a shim is
+/// a PV101 error wherever the table lands.
+#[test]
+fn pass1_catches_invalid_header_reads() {
+    forall(
+        "pass1_catches_invalid_header_reads",
+        16,
+        |d| (d.range(0u16..8), d.range(8u16..16), d.range(0usize..3)),
+        |(pp_port, read_port, stage)| {
+            let bad =
+                plain_mat("bad_read", stage, MatSummary::on_ports([read_port]).reads(Slot::Pp));
+            let mut stages = vec![Vec::new(); stage + 1];
+            stages[stage].push(bad);
+            let diags = check_ir(&ir_on_pp_port(pp_port, stages, vec![]));
+            let d = diags.iter().find(|d| d.code == Code::PV101).expect("PV101");
+            prop_assert_eq!(d.severity, Severity::Error);
+            prop_assert_eq!(d.mat.as_deref(), Some("bad_read"));
+            Ok(())
+        },
+    );
+}
 
-    /// Pass 1: a shim read on a port whose parser never produces a shim is
-    /// a PV101 error wherever the table lands.
-    #[test]
-    fn pass1_catches_invalid_header_reads(pp_port in 0u16..8, read_port in 8u16..16,
-                                          stage in 0usize..3) {
-        let bad = plain_mat(
-            "bad_read",
-            stage,
-            MatSummary::on_ports([read_port]).reads(Slot::Pp),
-        );
-        let mut stages = vec![Vec::new(); stage + 1];
-        stages[stage].push(bad);
-        let diags = check_ir(&ir_on_pp_port(pp_port, stages, vec![]));
-        let d = diags.iter().find(|d| d.code == Code::PV101).expect("PV101");
-        prop_assert_eq!(d.severity, Severity::Error);
-        prop_assert_eq!(d.mat.as_deref(), Some("bad_read"));
-    }
+/// Pass 2: an unconditional upstream strip shadows any later table that
+/// requires the shim — PV202 names both parties, at any stage gap.
+#[test]
+fn pass2_catches_shadowed_tables() {
+    forall(
+        "pass2_catches_shadowed_tables",
+        16,
+        |d| (d.range(0u16..8), d.range(1usize..4)),
+        |(port, gap)| {
+            let strip = plain_mat(
+                "stripper",
+                0,
+                MatSummary::on_ports([port]).require(Req::Valid(Slot::Pp)).sets_invalid(Slot::Pp),
+            );
+            let shadowed = plain_mat(
+                "shadowed",
+                gap,
+                MatSummary::on_ports([port]).require(Req::Valid(Slot::Pp)),
+            );
+            let mut stages = vec![Vec::new(); gap + 1];
+            stages[0].push(strip);
+            stages[gap].push(shadowed);
+            let diags = check_ir(&ir_on_pp_port(port, stages, vec![]));
+            let d = diags.iter().find(|d| d.code == Code::PV202).expect("PV202");
+            prop_assert_eq!(d.severity, Severity::Error);
+            prop_assert_eq!(d.mat.as_deref(), Some("shadowed"));
+            prop_assert!(d.message.contains("stripper"), "culprit named: {}", d.message);
+            Ok(())
+        },
+    );
+}
 
-    /// Pass 2: an unconditional upstream strip shadows any later table that
-    /// requires the shim — PV202 names both parties, at any stage gap.
-    #[test]
-    fn pass2_catches_shadowed_tables(port in 0u16..8, gap in 1usize..4) {
-        let strip = plain_mat(
-            "stripper",
-            0,
-            MatSummary::on_ports([port])
-                .require(Req::Valid(Slot::Pp))
-                .sets_invalid(Slot::Pp),
-        );
-        let shadowed = plain_mat(
-            "shadowed",
-            gap,
-            MatSummary::on_ports([port]).require(Req::Valid(Slot::Pp)),
-        );
-        let mut stages = vec![Vec::new(); gap + 1];
-        stages[0].push(strip);
-        stages[gap].push(shadowed);
-        let diags = check_ir(&ir_on_pp_port(port, stages, vec![]));
-        let d = diags.iter().find(|d| d.code == Code::PV202).expect("PV202");
-        prop_assert_eq!(d.severity, Severity::Error);
-        prop_assert_eq!(d.mat.as_deref(), Some("shadowed"));
-        prop_assert!(d.message.contains("stripper"), "culprit named: {}", d.message);
-    }
+/// Pass 3: a stateful binding whose register lives in another stage is
+/// flagged (PV302) *and* the builder refuses the program outright.
+#[test]
+fn pass3_flags_what_the_builder_rejects() {
+    forall(
+        "pass3_flags_what_the_builder_rejects",
+        16,
+        |d| (d.range(0usize..3), d.range(1usize..3)),
+        |(mat_stage, offset)| {
+            let reg_stage = mat_stage + offset;
 
-    /// Pass 3: a stateful binding whose register lives in another stage is
-    /// flagged (PV302) *and* the builder refuses the program outright.
-    #[test]
-    fn pass3_flags_what_the_builder_rejects(mat_stage in 0usize..3, offset in 1usize..3) {
-        let reg_stage = mat_stage + offset;
+            // The analyzer view.
+            let rmw = MatIr {
+                name: "rmw".into(),
+                stage: mat_stage,
+                summary: Some(MatSummary::any_port()),
+                stateful: Some(0),
+            };
+            let mut stages = vec![Vec::new(); mat_stage + 1];
+            stages[mat_stage].push(rmw);
+            let ir =
+                ir_on_pp_port(0, stages, vec![RegIr { name: "bank".into(), stage: reg_stage }]);
+            prop_assert!(
+                check_ir(&ir)
+                    .iter()
+                    .any(|d| d.code == Code::PV302 && d.severity == Severity::Error),
+                "PV302 expected"
+            );
 
-        // The analyzer view.
-        let rmw = MatIr {
-            name: "rmw".into(),
-            stage: mat_stage,
-            summary: Some(MatSummary::any_port()),
-            stateful: Some(0),
-        };
-        let mut stages = vec![Vec::new(); mat_stage + 1];
-        stages[mat_stage].push(rmw);
-        let ir = ir_on_pp_port(
-            0,
-            stages,
-            vec![RegIr { name: "bank".into(), stage: reg_stage }],
-        );
-        prop_assert!(
-            check_ir(&ir).iter().any(|d| d.code == Code::PV302
-                && d.severity == Severity::Error),
-            "PV302 expected"
-        );
-
-        // The executor view: the same shape never gets to run.
-        let mut b = pp_rmt::Pipeline::builder(ChipProfile::default());
-        let reg = b.register(RegisterSpec {
-            name: "bank".into(),
-            stage: reg_stage,
-            cell_bytes: 4,
-            cells: 4,
-        });
-        b.place(
-            mat_stage,
-            Mat::builder("rmw").stateful(reg, |_| Some(0)).build(),
-        );
-        match b.build() {
-            Err(ProgramError::CrossStageStatefulBinding { mat, mat_stage: m, register_stage: r }) => {
-                prop_assert_eq!(mat.as_str(), "rmw");
-                prop_assert_eq!(m, mat_stage);
-                prop_assert_eq!(r, reg_stage);
+            // The executor view: the same shape never gets to run.
+            let mut b = pp_rmt::Pipeline::builder(ChipProfile::default());
+            let reg = b.register(RegisterSpec {
+                name: "bank".into(),
+                stage: reg_stage,
+                cell_bytes: 4,
+                cells: 4,
+            });
+            b.place(mat_stage, Mat::builder("rmw").stateful(reg, |_| Some(0)).build());
+            match b.build() {
+                Err(ProgramError::CrossStageStatefulBinding {
+                    mat,
+                    mat_stage: m,
+                    register_stage: r,
+                }) => {
+                    prop_assert_eq!(mat.as_str(), "rmw");
+                    prop_assert_eq!(m, mat_stage);
+                    prop_assert_eq!(r, reg_stage);
+                }
+                other => prop_assert!(false, "builder accepted a cross-stage binding: {other:?}"),
             }
-            other => prop_assert!(false, "builder accepted a cross-stage binding: {other:?}"),
-        }
-    }
+            Ok(())
+        },
+    );
+}
 
-    /// Pass 4: any overlap between two workers' slice ranges is a PV401
-    /// error, and shifting the second range past the first clears it.
-    #[test]
-    fn pass4_catches_overlapping_shards(len in 1usize..64, overlap in 1usize..32) {
-        let overlap = overlap.min(len);
-        let shard = |second_start: usize| ShardIr {
-            total_slots: len + second_start.max(len),
-            parent_ports: [0u16, 1].into_iter().collect(),
-            parent_has_annex: false,
-            workers: vec![
-                WorkerIr {
-                    name: "w0".into(),
-                    ports: [0u16].into_iter().collect(),
-                    claims: vec![SliceClaim { name: "s0".into(), slots: 0..len }],
-                },
-                WorkerIr {
-                    name: "w1".into(),
-                    ports: [1u16].into_iter().collect(),
-                    claims: vec![SliceClaim {
-                        name: "s1".into(),
-                        slots: second_start..second_start + len,
-                    }],
-                },
-            ],
-            port_map: [(0u16, 0usize), (1u16, 1usize)].into_iter().collect(),
-        };
+/// Pass 4: any overlap between two workers' slice ranges is a PV401
+/// error, and shifting the second range past the first clears it.
+#[test]
+fn pass4_catches_overlapping_shards() {
+    forall(
+        "pass4_catches_overlapping_shards",
+        16,
+        |d| (d.range(1usize..64), d.range(1usize..32)),
+        |(len, overlap)| {
+            let overlap = overlap.min(len);
+            let shard = |second_start: usize| ShardIr {
+                total_slots: len + second_start.max(len),
+                parent_ports: [0u16, 1].into_iter().collect(),
+                parent_has_annex: false,
+                workers: vec![
+                    WorkerIr {
+                        name: "w0".into(),
+                        ports: [0u16].into_iter().collect(),
+                        claims: vec![SliceClaim { name: "s0".into(), slots: 0..len }],
+                    },
+                    WorkerIr {
+                        name: "w1".into(),
+                        ports: [1u16].into_iter().collect(),
+                        claims: vec![SliceClaim {
+                            name: "s1".into(),
+                            slots: second_start..second_start + len,
+                        }],
+                    },
+                ],
+                port_map: [(0u16, 0usize), (1u16, 1usize)].into_iter().collect(),
+            };
 
-        let diags = check_shards(&shard(len - overlap));
-        prop_assert!(
-            diags.iter().any(|d| d.code == Code::PV401 && d.severity == Severity::Error),
-            "overlap of {overlap} slots missed: {diags:?}"
-        );
-        let disjoint = check_shards(&shard(len));
-        prop_assert!(
-            !disjoint.iter().any(|d| d.code == Code::PV401),
-            "false positive on disjoint ranges: {disjoint:?}"
-        );
-    }
+            let diags = check_shards(&shard(len - overlap));
+            prop_assert!(
+                diags.iter().any(|d| d.code == Code::PV401 && d.severity == Severity::Error),
+                "overlap of {overlap} slots missed: {diags:?}"
+            );
+            let disjoint = check_shards(&shard(len));
+            prop_assert!(
+                !disjoint.iter().any(|d| d.code == Code::PV401),
+                "false positive on disjoint ranges: {disjoint:?}"
+            );
+            Ok(())
+        },
+    );
 }
